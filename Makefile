@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test faults bench bench-smoke bench-rollout rollout-smoke bench-sweep bench-train bench-population population-smoke sweep-smoke train-smoke train-resume-test parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test tournament-smoke bench-tournament
+.PHONY: install test faults bench bench-smoke perfbench-smoke bench-rollout rollout-smoke bench-sweep bench-train bench-population population-smoke sweep-smoke train-smoke train-resume-test parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test tournament-smoke bench-tournament
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -20,6 +20,13 @@ bench:
 # Quick end-to-end check of the rollout benchmark harness (tiny workload).
 bench-smoke:
 	$(PYTHON) -m pytest -m bench tests/
+
+# Seconds-scale self-check of the repository benchmark (perfbench/): every
+# workload at smoke size with its output checked against perfbench/pins.json,
+# then the benchmark's own tests.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --smoke
+	$(PYTHON) -m pytest perfbench
 
 # Instrumented demo episode: prints the Prometheus snapshot + span profile.
 obs-demo:

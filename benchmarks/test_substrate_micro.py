@@ -36,7 +36,7 @@ def test_federated_local_update(benchmark):
         seed=0, samples_per_node=20, test_size=20,
     )
     session = build.session
-    node = session.nodes[0]
+    node = session.node(0)
     worker = session.server.make_worker_model()
     state = session.server.broadcast()
 

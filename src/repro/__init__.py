@@ -25,6 +25,6 @@ Quickstart::
     print(history.smoothed_rewards()[-1])
 """
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = ["__version__"]

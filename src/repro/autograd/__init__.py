@@ -12,7 +12,6 @@ live in :mod:`repro.autograd.functional`.
 """
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, tensor
-from repro.autograd.arena import BufferArena, active_arena, use_arena
 from repro.autograd import functional
 from repro.autograd.gradcheck import gradcheck
 
@@ -23,7 +22,4 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "gradcheck",
-    "BufferArena",
-    "active_arena",
-    "use_arena",
 ]

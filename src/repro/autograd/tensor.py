@@ -44,22 +44,6 @@ def no_grad():
         _grad_state.enabled = previous
 
 
-def _binary_out(a: np.ndarray, b: np.ndarray, ufunc) -> np.ndarray:
-    """Apply a binary ufunc, routing the output through the active arena."""
-    arena = getattr(_grad_state, "arena", None)
-    if arena is None:
-        return ufunc(a, b)
-    return ufunc(a, b, out=arena.take(np.broadcast_shapes(a.shape, b.shape)))
-
-
-def _unary_out(a: np.ndarray, ufunc) -> np.ndarray:
-    """Apply a unary ufunc, routing the output through the active arena."""
-    arena = getattr(_grad_state, "arena", None)
-    if arena is None:
-        return ufunc(a)
-    return ufunc(a, out=arena.take(a.shape))
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it has ``shape`` by summing broadcast dimensions."""
     if grad.shape == shape:
@@ -183,16 +167,7 @@ class Tensor:
             grad = _unbroadcast(grad, self.shape)  # summed -> fresh
             owned = True
         if self.grad is None:
-            if owned:
-                self.grad = grad
-            else:
-                arena = getattr(_grad_state, "arena", None)
-                if arena is None:
-                    self.grad = grad.copy()
-                else:
-                    buf = arena.take(grad.shape)
-                    np.copyto(buf, grad)
-                    self.grad = buf
+            self.grad = grad if owned else grad.copy()
         else:
             self.grad += grad
 
@@ -254,7 +229,7 @@ class Tensor:
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        out_data = _binary_out(self.data, other.data, np.add)
+        out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -271,9 +246,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad, owned=True)
 
-        return Tensor._make(
-            _unary_out(self.data, np.negative), (self,), "neg", backward
-        )
+        return Tensor._make(-self.data, (self,), "neg", backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._coerce(other))
@@ -283,7 +256,7 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        out_data = _binary_out(self.data, other.data, np.multiply)
+        out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -297,7 +270,7 @@ class Tensor:
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        out_data = _binary_out(self.data, other.data, np.divide)
+        out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -313,13 +286,7 @@ class Tensor:
     def __pow__(self, exponent: Union[int, float]) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        arena = getattr(_grad_state, "arena", None)
-        if arena is None:
-            out_data = self.data**exponent
-        else:
-            out_data = np.power(
-                self.data, exponent, out=arena.take(self.data.shape)
-            )
+        out_data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -331,15 +298,7 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        arena = getattr(_grad_state, "arena", None)
-        if arena is not None and self.data.ndim == 2 and other.data.ndim == 2:
-            out_data = np.matmul(
-                self.data,
-                other.data,
-                out=arena.take((self.data.shape[0], other.data.shape[1])),
-            )
-        else:
-            out_data = self.data @ other.data
+        out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
@@ -373,7 +332,7 @@ class Tensor:
     # elementwise functions
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        out_data = _unary_out(self.data, np.exp)
+        out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -382,7 +341,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), "exp", backward)
 
     def log(self) -> "Tensor":
-        out_data = _unary_out(self.data, np.log)
+        out_data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -394,7 +353,7 @@ class Tensor:
         return self**0.5
 
     def tanh(self) -> "Tensor":
-        out_data = _unary_out(self.data, np.tanh)
+        out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -403,16 +362,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), "tanh", backward)
 
     def sigmoid(self) -> "Tensor":
-        arena = getattr(_grad_state, "arena", None)
-        if arena is None:
-            out_data = 1.0 / (1.0 + np.exp(-self.data))
-        else:
-            # Same IEEE ops in the same order, fused into one buffer.
-            out_data = arena.take(self.data.shape)
-            np.negative(self.data, out=out_data)
-            np.exp(out_data, out=out_data)
-            np.add(out_data, 1.0, out=out_data)
-            np.divide(1.0, out_data, out=out_data)
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -443,11 +393,7 @@ class Tensor:
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient flows only through the unclipped region."""
         mask = (self.data >= low) & (self.data <= high)
-        arena = getattr(_grad_state, "arena", None)
-        if arena is None:
-            out_data = np.clip(self.data, low, high)
-        else:
-            out_data = np.clip(self.data, low, high, out=arena.take(self.data.shape))
+        out_data = np.clip(self.data, low, high)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -399,14 +399,12 @@ def run_train_benchmark(
     max_rounds: int = 40,
     seed: int = 0,
     train_seed: int = 7,
-    mode: str = "deterministic",
 ) -> dict:
     """Benchmark the parallel *training* engine at each worker count.
 
     The same seeded quick-tier Chiron training run
-    (:func:`repro.parallel.train_parallel`, deterministic mode by
-    default) executes once per entry in ``worker_counts``; each entry
-    records wall-clock seconds and the run's
+    (:func:`repro.parallel.train_parallel`) executes once per entry in
+    ``worker_counts``; each entry records wall-clock seconds and the run's
     :func:`~repro.parallel.training_fingerprint`.  The report's
     ``fingerprints_identical`` flag is the worker-count-invariance
     contract made machine-checkable: every worker count must reproduce
@@ -444,7 +442,6 @@ def run_train_benchmark(
             seed=train_seed,
             workers=workers,
             sync_every=sync_every,
-            mode=mode,
         )
         elapsed = time.perf_counter() - start
         results.append(
@@ -476,7 +473,6 @@ def run_train_benchmark(
             "max_rounds": max_rounds,
             "seed": seed,
             "train_seed": train_seed,
-            "mode": mode,
         },
         "results": results,
         "speedup_vs_workers1": speedups,

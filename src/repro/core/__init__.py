@@ -10,7 +10,7 @@
   a fully wired environment from an :class:`ExperimentConfig`.
 """
 
-from repro.core.env import EdgeLearningEnv, EnvConfig, LegacyEnvAdapter, StepResult
+from repro.core.env import EdgeLearningEnv, EnvConfig, StepResult
 from repro.core.state import ExteriorStateEncoder
 from repro.core.rewards import RewardConfig, exterior_reward, inner_reward
 from repro.core.mechanism import IncentiveMechanism, Observation
@@ -21,7 +21,6 @@ from repro.core.vector import VectorizedEdgeLearningEnv
 __all__ = [
     "EdgeLearningEnv",
     "EnvConfig",
-    "LegacyEnvAdapter",
     "StepResult",
     "ExteriorStateEncoder",
     "RewardConfig",

@@ -131,12 +131,7 @@ class ChironAgent(IncentiveMechanism):
         cheap budget-stretching region (near the participation floor) is as
         explorable as the expensive region near the price caps.
         """
-        # getattr: instances restored from old checkpoints predate the
-        # precomputed ratio.
-        ratio = getattr(self, "_price_ratio", None)
-        if ratio is None:
-            ratio = self._price_high / self._price_low
-        return float(self._price_low * ratio ** _sigmoid(raw))
+        return float(self._price_low * self._price_ratio ** _sigmoid(raw))
 
     def _inner_obs(
         self, total_price: float, last_times: Optional[np.ndarray] = None

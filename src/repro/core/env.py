@@ -21,15 +21,11 @@ The step/reset surface follows the Gymnasium convention:
 
 where ``reward`` is the exterior reward and ``info["step_result"]`` carries
 the full :class:`StepResult` (inner reward, payments, fault outcome, …).
-The pre-redesign signatures (``reset() -> obs``, ``step() -> StepResult``)
-remain available through :meth:`EdgeLearningEnv.legacy`, which warns once
-per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,12 +35,11 @@ from repro import obs as _obs
 from repro.core.rewards import RewardConfig, exterior_reward, inner_reward
 from repro.core.state import ExteriorStateEncoder
 from repro.economics.budget import BudgetLedger
-from repro.economics.hardware import HardwareProfile
 from repro.economics.timing import time_efficiency
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.faults.reliability import ReliabilityTracker
 from repro.fl.accuracy import LearningProcess
-from repro.population import Population, as_population, warn_raw_node_access
+from repro.population import Population, as_population
 from repro.population.api import NodeResponseBatch
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
@@ -246,21 +241,6 @@ class EdgeLearningEnv:
         return self.encoder.dim
 
     @property
-    def profiles(self) -> List[HardwareProfile]:
-        """Deprecated raw node list; program against :attr:`population`.
-
-        Materializes per-node :class:`HardwareProfile` objects from the
-        population columns (exact float round-trip).  Warns once per
-        process — see the migration table in ``docs/api.md``.
-        """
-        warn_raw_node_access(
-            "EdgeLearningEnv.profiles",
-            "EdgeLearningEnv.population (column accessors / "
-            "population.profiles())",
-        )
-        return self.population.profiles()
-
-    @property
     def accuracy(self) -> float:
         """Current global model accuracy A(ω_k)."""
         return self._accuracy
@@ -433,12 +413,8 @@ class EdgeLearningEnv:
             if active is batch.participates and payments is batch.payment:
                 # active.all() held above: every node participates, so the
                 # id list is just range(n) (copied — it escapes into the
-                # StepResult; getattr covers envs unpickled from older
-                # checkpoints).
-                full = getattr(self, "_all_participants", None)
-                if full is None:
-                    full = self._all_participants = list(range(self.n_nodes))
-                participants: List[int] = full.copy()
+                # StepResult).
+                participants: List[int] = self._all_participants.copy()
             else:
                 # nonzero()[0] is flatnonzero minus a wrapper layer
                 # (active is already 1-D).
@@ -778,51 +754,3 @@ class EdgeLearningEnv:
         # immutable, and passing it through keeps the replica on the same
         # backend (and the same derived-coefficient cache).
         return EdgeLearningEnv(self.population, learning, config)
-
-    def legacy(self) -> "LegacyEnvAdapter":
-        """Pre-redesign view: ``reset() -> obs``, ``step() -> StepResult``."""
-        return LegacyEnvAdapter(self)
-
-
-_LEGACY_API_WARNED = False
-
-
-def _warn_legacy_api() -> None:
-    global _LEGACY_API_WARNED
-    if not _LEGACY_API_WARNED:
-        _LEGACY_API_WARNED = True
-        warnings.warn(
-            "EdgeLearningEnv's legacy signatures (reset() -> obs, "
-            "step() -> StepResult) are deprecated and will be removed in "
-            "v2.0; use the Gymnasium-style reset(seed=None) -> (obs, info) "
-            "and step(prices) -> (obs, reward, terminated, truncated, info) "
-            "— the StepResult is available as info['step_result'].",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-class LegacyEnvAdapter:
-    """Old-signature shim over an :class:`EdgeLearningEnv`.
-
-    Restores the pre-redesign surface for code not yet migrated; every
-    other attribute (``done``, ``ledger``, ``encoder``, …) passes through
-    to the wrapped environment.  Emits one :class:`DeprecationWarning` per
-    process, on first use.
-    """
-
-    def __init__(self, env: EdgeLearningEnv):
-        self._env = env
-
-    def reset(self) -> np.ndarray:
-        _warn_legacy_api()
-        obs, _ = self._env.reset()
-        return obs
-
-    def step(self, prices: Sequence[float]) -> StepResult:
-        _warn_legacy_api()
-        _, _, _, _, info = self._env.step(prices)
-        return info["step_result"]
-
-    def __getattr__(self, name: str):
-        return getattr(self._env, name)

@@ -144,9 +144,7 @@ class ExteriorStateEncoder:
                 "reliability given but encoder was built without "
                 "include_reliability"
             )
-        tail = getattr(self, "_tail", None)
-        if tail is None:  # encoder unpickled from an older checkpoint
-            tail = self._tail = np.empty(2)
+        tail = self._tail
         tail[0] = remaining_budget / self.budget_scale
         tail[1] = round_index / self.max_rounds
         parts.append(tail)

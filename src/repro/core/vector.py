@@ -162,8 +162,7 @@ class VectorizedEdgeLearningEnv:
         truncated = np.zeros(self.num_envs, dtype=bool)
         infos: List[Optional[dict]] = [None] * self.num_envs
         batch = None
-        # getattr: tolerate instances unpickled from older checkpoints.
-        if getattr(self, "_shared_population", None) is not None:
+        if self._shared_population is not None:
             # One best-response call for the whole replica batch; each
             # replica below receives its own row (views into the freshly
             # allocated (M, n) response — exactly the aliasing contract of

@@ -235,7 +235,6 @@ def train_mechanism(
     workers: int = 1,
     seed: Optional[int] = None,
     sync_every: Optional[int] = None,
-    parallel_mode: str = "deterministic",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
@@ -254,10 +253,8 @@ def train_mechanism(
     every weight update stays in this process.  Requires a mechanism
     supporting the collect protocol (``supports_parallel_training``) and
     an explicit ``seed`` — the per-episode seeds are what make pooled
-    collection deterministic.  In the default ``parallel_mode=
-    "deterministic"`` the history is bit-identical for any worker count
-    (including ``workers=1``); ``"async"`` trades that invariance for
-    throughput (see ``docs/parallel.md``).  ``sync_every`` sets episodes
+    collection deterministic.  The history is bit-identical for any
+    worker count (including ``workers=1``).  ``sync_every`` sets episodes
     collected per policy snapshot.  On platforms that cannot spawn
     subprocesses, ``workers > 1`` falls back to in-process collection
     with a one-time warning — same results, no parallelism.
@@ -321,7 +318,6 @@ def train_mechanism(
             seed=seed,
             workers=workers,
             sync_every=sync_every,
-            mode=parallel_mode,
             log_every=log_every,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
@@ -458,16 +454,17 @@ def evaluate_mechanism(
                 "a seed, episodes share mutable env/mechanism state and "
                 "have no parallel decomposition"
             )
-        had_train_mode = hasattr(mechanism, "eval_mode")
-        if had_train_mode:
+        # Hand the mechanism back in the caller's mode; one without a
+        # ``training`` flag goes back to training mode.
+        switches = hasattr(mechanism, "eval_mode")
+        was_training = getattr(mechanism, "training", True)
+        if switches:
             mechanism.eval_mode()
-        results = []
-        for _ in range(episodes):
-            result, _diag = run_episode(env, mechanism)
-            results.append(result)
-        if had_train_mode:
-            mechanism.train_mode()
-        return results
+        try:
+            return [run_episode(env, mechanism)[0] for _ in range(episodes)]
+        finally:
+            if switches and was_training:
+                mechanism.train_mode()
 
     # Seeded: hermetic per-episode items through the parallel engine.
     # workers=1 executes them in-process — same code path, no processes —

@@ -184,9 +184,7 @@ class SurrogateAccuracy:
             and participant_ids == full_list
             and not poisoned_ids
         ):
-            delta = getattr(self, "_full_weight_sum", None)
-            if delta is None:
-                delta = float(self._weights.sum())
+            delta = self._full_weight_sum
             self._effective_rounds = max(0.0, self._effective_rounds + delta)
             clean = self.curve._value(self._effective_rounds)
             noisy = clean + self._rng.normal(0.0, self.curve.noise_std)
@@ -220,11 +218,8 @@ class SurrogateAccuracy:
             )
         elif len(id_set) == self.num_nodes:
             # n distinct in-range ids are exactly range(n) — use the
-            # precomputed full-fleet sum (getattr: instances unpickled
-            # from pre-cache checkpoints lack it).
-            delta = getattr(self, "_full_weight_sum", None)
-            if delta is None:
-                delta = float(self._weights.sum())
+            # precomputed full-fleet sum.
+            delta = self._full_weight_sum
         else:
             delta = float(self._weights[sorted(id_set)].sum())
         self._effective_rounds = max(0.0, self._effective_rounds + delta)

@@ -31,7 +31,6 @@ from repro.fl.metrics import EvalResult
 from repro.fl.node import EdgeNode
 from repro.fl.server import ParameterServer
 from repro.nn.module import Module
-from repro.population.api import warn_raw_node_access
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class FederatedSession:
         self.history: List[RoundResult] = []
 
     # ------------------------------------------------------------------ #
-    # fleet surface (the raw node dict is deprecated — see docs/api.md)
+    # fleet surface
     # ------------------------------------------------------------------ #
     @property
     def node_ids(self) -> List[int]:
@@ -128,25 +127,6 @@ class FederatedSession:
                 f"session's ids {self.node_ids}"
             )
         self._nodes = replacement
-
-    @property
-    def nodes(self):
-        """Deprecated raw id→node dict; use :attr:`node_ids` /
-        :meth:`node` / :meth:`replace_nodes` instead."""
-        warn_raw_node_access(
-            "FederatedSession.nodes",
-            "FederatedSession.node_ids / node() / data_sizes() / "
-            "replace_nodes()",
-        )
-        return self._nodes
-
-    @nodes.setter
-    def nodes(self, mapping) -> None:
-        warn_raw_node_access(
-            "FederatedSession.nodes",
-            "FederatedSession.replace_nodes()",
-        )
-        self.replace_nodes(list(mapping.values()))
 
     def run_round(self, participant_ids: Optional[Sequence[int]] = None) -> RoundResult:
         """Execute one round with the given participants (default: all).

@@ -20,8 +20,8 @@ Layout:
 * :mod:`repro.parallel.engine` — ``run_sweep`` + the standard experiment
   grid builder, with result fingerprints proving worker-count invariance.
 * :mod:`repro.parallel.training` — ``train_parallel``: A3C-style
-  trajectory collection *within* one training run, with worker-count
-  invariant deterministic mode and opt-in async mode.
+  trajectory collection *within* one training run, worker-count
+  invariant.
 """
 
 from repro.parallel.engine import SweepResult, grid_items, run_sweep
@@ -37,7 +37,6 @@ from repro.parallel.merge import (
     merge_profiles,
     merge_running_stats,
     merge_snapshots,
-    merge_trajectories,
 )
 from repro.parallel.pool import (
     ItemFailure,
@@ -67,7 +66,6 @@ __all__ = [
     "merge_snapshots",
     "merge_profiles",
     "merge_running_stats",
-    "merge_trajectories",
     "PoolConfig",
     "PoolReport",
     "ItemFailure",

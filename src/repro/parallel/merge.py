@@ -17,6 +17,10 @@ module folds those back together in the parent:
 * :func:`merge_running_stats` — Chan et al. parallel merge, exact to
   float round-off (see :meth:`RunningMeanStd.merge`).
 
+Collected training trajectories do not pass through here: the parent
+appends each one to its rollout buffer with
+:meth:`~repro.rl.ppo.PPOAgent.absorb_collected`.
+
 Everything here is pure data-to-data so it can be golden-tested without
 spawning a single process.
 """
@@ -25,15 +29,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.rl.running_stat import RunningMeanStd
 
 __all__ = [
     "merge_snapshots",
     "merge_profiles",
     "merge_running_stats",
-    "merge_trajectories",
 ]
 
 _MetricKey = Tuple[str, Tuple[Tuple[str, str], ...], str]
@@ -160,44 +161,3 @@ def merge_running_stats(
 ) -> RunningMeanStd:
     """Exact Chan parallel merge of per-worker observation normalizers."""
     return RunningMeanStd.merge(parts)
-
-
-def merge_trajectories(parts: Sequence[dict]) -> dict:
-    """Seed-ordered concatenation of partial rollout-buffer states.
-
-    Each part is a :meth:`~repro.rl.buffer.RolloutBuffer.flat_state`
-    dict (optionally carrying extra 2-D arrays like ``raw_obs``); the
-    result is the flat state of the single stream that would have been
-    collected had every episode run back to back in ``parts`` order —
-    the property the hypothesis merge tests pin element-wise.  Empty
-    parts (a worker whose episode produced no transitions, e.g. an
-    instantly exhausted budget) contribute nothing; all-empty input
-    returns the canonical empty flat state.
-    """
-    present = [
-        p for p in parts if np.asarray(p["rewards"]).shape[0] > 0
-    ]
-    if not present:
-        empty = {
-            "obs": np.zeros((0, 0)),
-            "actions": np.zeros((0, 0)),
-            "rewards": np.zeros(0),
-            "values": np.zeros(0),
-            "log_probs": np.zeros(0),
-            "dones": np.zeros(0, dtype=np.uint8),
-        }
-        if parts:
-            for key in parts[0]:
-                empty.setdefault(key, np.zeros((0, 0)))
-        return empty
-    keys = list(present[0].keys())
-    for part in present[1:]:
-        if list(part.keys()) != keys:
-            raise ValueError(
-                "trajectory parts disagree on keys: "
-                f"{sorted(keys)} vs {sorted(part.keys())}"
-            )
-    return {
-        key: np.concatenate([np.asarray(p[key]) for p in present])
-        for key in keys
-    }

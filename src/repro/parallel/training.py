@@ -27,22 +27,14 @@ collection*.  The engine therefore proceeds in synchronous generations
    moments, LR schedules and the minibatch-shuffle stream never cross a
    pickle boundary.
 
-Determinism contract (``mode="deterministic"``, the default): the result
-is a pure function of ``(env, mechanism, episodes, seed, sync_every)``
-and — because every episode of a round is collected against the same
-snapshot and ingested in seed order — **independent of the worker
-count**.  ``training_fingerprint`` digests run at workers 1, 2 and 4 are
-identical (pinned by the ``train_w2``/``train_w4`` differential variants
-and the committed golden training trace).  ``sync_every=1`` degenerates
-to the exact sequential collect-then-update-every-episode chain.
-
-``mode="async"`` ingests episodes in *arrival* order and updates after
-every arrival — higher throughput on loaded multi-core hosts because a
-slow episode no longer gates the round barrier, at the price of
-bit-identity across worker counts.  Async runs are validated by
-reward-curve equivalence bands instead of fingerprints (see
-``docs/parallel.md``); at ``workers=1`` arrival order *is* submission
-order, so async and deterministic coincide.
+Determinism contract: the result is a pure function of ``(env,
+mechanism, episodes, seed, sync_every)`` and — because every episode of a
+round is collected against the same snapshot and ingested in seed order
+— **independent of the worker count**.  ``training_fingerprint`` digests
+run at workers 1, 2 and 4 are identical (pinned by the
+``train_w2``/``train_w4`` differential variants and the committed golden
+training trace).  ``sync_every=1`` degenerates to the exact sequential
+collect-then-update-every-episode chain.
 
 Because collection is seed-driven, the parent's live ``env`` object is
 never stepped — episode stochastics come entirely from the per-episode
@@ -137,7 +129,6 @@ def train_parallel(
     seed: int,
     workers: int = 1,
     sync_every: Optional[int] = None,
-    mode: str = "deterministic",
     pool_config: Optional[PoolConfig] = None,
     log_every: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
@@ -175,10 +166,6 @@ def train_parallel(
             "train_parallel requires an explicit seed: per-episode env "
             "and exploration seeds are what make parallel collection "
             "deterministic"
-        )
-    if mode not in ("deterministic", "async"):
-        raise ValueError(
-            f"mode must be 'deterministic' or 'async', got {mode!r}"
         )
     if sync_every is None:
         sync_every = DEFAULT_SYNC_EVERY
@@ -240,7 +227,6 @@ def train_parallel(
                 "seed": int(seed),
                 "sync_every": int(sync_every),
                 "workers": int(workers),
-                "mode": mode,
                 "start_episode": int(start_episode),
             },
         )
@@ -261,16 +247,11 @@ def train_parallel(
                 result.mean_time_efficiency,
             )
 
-    def ingest(payload: dict, apply: bool) -> None:
+    def ingest(payload: dict) -> None:
         """Fold one collected episode into the parent, in call order."""
         result = EpisodeResult(**payload["episode"])
-        diagnostics = dict(payload["diagnostics"])
         mechanism.absorb_collected(payload["collected"])
-        history.append(result, diagnostics)
-        if apply:
-            stats = mechanism.apply_update()
-            if stats:
-                history.diagnostics[-1].update(stats)
+        history.append(result, dict(payload["diagnostics"]))
         log_episode(payload["episode_index"], result)
 
     config = pool_config or PoolConfig(workers=workers)
@@ -288,17 +269,7 @@ def train_parallel(
             for e in range(lo, hi):
                 env_seed, sample_seed = spawn_seeds(int(ep_seeds[e]), 2)
                 items.append(train_item(bundle, e, env_seed, sample_seed))
-
-            if mode == "async":
-                # Arrival-order ingestion: update after every episode as
-                # it lands.  Throughput over bit-identity.
-                report = pool.run(
-                    items,
-                    on_result=lambda _i, value: ingest(value, apply=True),
-                    should_stop=should_stop,
-                )
-            else:
-                report = pool.run(items, should_stop=should_stop)
+            report = pool.run(items, should_stop=should_stop)
             if report.quarantined:
                 failure = report.quarantined[0]
                 raise RuntimeError(
@@ -309,18 +280,17 @@ def train_parallel(
             if report.interrupted:
                 # Guard drained mid-round: the deterministic contract
                 # only holds for whole rounds, so discard the partial
-                # round (deterministic mode never ingested it) and stop
-                # at the previous boundary.
+                # round (none of it was ingested) and stop at the
+                # previous boundary.
                 interrupted = True
                 break
-            if mode == "deterministic":
-                # Seed-ordered reduction: results are indexed by
-                # submission order, so this is exactly episode order.
-                for payload in report.results:
-                    ingest(payload, apply=False)
-                stats = mechanism.apply_update()
-                if stats:
-                    history.diagnostics[-1].update(stats)
+            # Seed-ordered reduction: results are indexed by submission
+            # order, so this is exactly episode order.
+            for payload in report.results:
+                ingest(payload)
+            stats = mechanism.apply_update()
+            if stats:
+                history.diagnostics[-1].update(stats)
 
             if checkpointing and (
                 hi // checkpoint_every > lo // checkpoint_every

@@ -11,7 +11,6 @@ from repro.population.api import (
     PopulationBase,
     as_population,
     columns_from_profiles,
-    warn_raw_node_access,
 )
 from repro.population.clusters import (
     CLUSTER_KEYS,
@@ -35,5 +34,4 @@ __all__ = [
     "as_population",
     "cluster_population",
     "columns_from_profiles",
-    "warn_raw_node_access",
 ]

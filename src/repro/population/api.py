@@ -35,7 +35,6 @@ reports ``zeta_min``, zero utility/payment/energy and infinite time).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, runtime_checkable
 
@@ -61,10 +60,6 @@ COLUMNS = (
     "comm_power",
     "reserve_utility",
 )
-
-#: Version in which the deprecated raw node-list surfaces will be removed.
-RAW_ACCESS_REMOVAL = "2.0"
-
 
 @dataclass(frozen=True)
 class NodeResponseBatch:
@@ -348,25 +343,4 @@ def as_population(fleet, backend: str = "soa") -> Population:
         return ObjectPopulation(fleet)
     raise ValueError(
         f"unknown population backend {backend!r}; expected 'soa' or 'object'"
-    )
-
-
-_RAW_ACCESS_WARNED = set()
-
-
-def warn_raw_node_access(surface: str, replacement: str) -> None:
-    """One ``DeprecationWarning`` per deprecated raw-node surface.
-
-    Raw node-list access couples callers to the object representation and
-    defeats the SoA engine; see ``docs/api.md`` for the migration table.
-    """
-    if surface in _RAW_ACCESS_WARNED:
-        return
-    _RAW_ACCESS_WARNED.add(surface)
-    warnings.warn(
-        f"{surface} exposes the raw per-node objects and is deprecated "
-        f"(removal in v{RAW_ACCESS_REMOVAL}); use {replacement} instead — "
-        "see the migration table in docs/api.md.",
-        DeprecationWarning,
-        stacklevel=3,
     )

@@ -8,7 +8,7 @@ schedule (×0.95 every 20 episodes).
 
 from repro.rl.spaces import Box
 from repro.rl.running_stat import RunningMeanStd
-from repro.rl.buffer import RolloutBuffer, Transition
+from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import GaussianPolicy, ValueNetwork
 from repro.rl.ppo import PPOAgent, PPOConfig
 from repro.rl.checkpoint import load_many, load_ppo, save_many, save_ppo
@@ -18,7 +18,6 @@ __all__ = [
     "Box",
     "RunningMeanStd",
     "RolloutBuffer",
-    "Transition",
     "GaussianPolicy",
     "ValueNetwork",
     "PPOAgent",

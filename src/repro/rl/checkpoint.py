@@ -28,6 +28,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.rl.buffer import FIELDS as BUFFER_FIELDS
 from repro.rl.ppo import PPOAgent
 from repro.utils.rng import pack_generator_state, restore_generator_state
 
@@ -58,7 +59,7 @@ def ppo_state_dict(agent: PPOAgent, prefix: str = "") -> Dict[str, np.ndarray]:
     # straddle episode boundaries, so a mid-training checkpoint that
     # dropped them would diverge from the uninterrupted run at the next
     # update (see tests/rl/test_checkpoint.py::TestBufferRoundTrip).
-    for key, value in agent.buffer.flat_state().items():
+    for key, value in agent.buffer.columns().items():
         state[f"{prefix}buffer_{key}"] = value
     if agent.obs_stat is not None:
         state[f"{prefix}obs_mean"] = agent.obs_stat.mean
@@ -103,18 +104,9 @@ def load_ppo_state(
     if f"{prefix}shuffle_rng" in state:
         restore_generator_state(agent._shuffle_rng, state[f"{prefix}shuffle_rng"])
     if f"{prefix}buffer_rewards" in state:
-        agent.buffer.load_flat_state(
-            {
-                key: state[f"{prefix}buffer_{key}"]
-                for key in (
-                    "obs",
-                    "actions",
-                    "rewards",
-                    "values",
-                    "log_probs",
-                    "dones",
-                )
-            }
+        agent.buffer.clear()
+        agent.buffer.extend(
+            {key: state[f"{prefix}buffer_{key}"] for key in BUFFER_FIELDS}
         )
     if agent.obs_stat is not None:
         if f"{prefix}obs_mean" not in state:

@@ -102,11 +102,10 @@ class GaussianPolicy(Module):
     def _std_terms(self) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``(clipped log_std, std)`` raw arrays for the act paths.
 
-        Treat both as read-only.  getattr: tolerates policies unpickled
-        from checkpoints that predate the cache.
+        Treat both as read-only.
         """
         key = self.log_std.data.tobytes()
-        cache = getattr(self, "_std_cache", None)
+        cache = self._std_cache
         if cache is not None and cache[0] == key:
             return cache[1], cache[2]
         log_std = self.log_std.data.clip(_LOG_STD_MIN, _LOG_STD_MAX)

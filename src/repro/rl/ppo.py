@@ -8,13 +8,12 @@ per episode when the budget is exhausted, Algorithm 1 lines 17-27).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.autograd.arena import BufferArena, use_arena
 from repro.rl.buffer import Batch, RolloutBuffer
 from repro.rl.policy import GaussianPolicy, ValueNetwork
 from repro.rl.running_stat import RunningMeanStd
@@ -49,12 +48,6 @@ class PPOConfig:
     init_log_std: float = -0.5
     normalize_obs: bool = True
     normalize_advantages: bool = True
-    #: opt-in autograd buffer reuse: forward/backward intermediates of the
-    #: PPO update are written into a preallocated :class:`BufferArena`
-    #: reset once per minibatch, eliminating most per-update allocations.
-    #: Numerics are bit-identical (same ufuncs via ``out=``); parameters,
-    #: optimizer state, and returned diagnostics are never arena-backed.
-    reuse_buffers: bool = False
 
     def __post_init__(self):
         check_positive("actor_lr", self.actor_lr)
@@ -134,14 +127,13 @@ class PPOAgent:
             self.critic_opt, cfg.lr_decay, cfg.lr_decay_every
         )
         self.obs_stat = RunningMeanStd((obs_dim,)) if cfg.normalize_obs else None
-        self._arena = BufferArena() if cfg.reuse_buffers else None
         self._shuffle_rng = shuffle_rng
         self._mse = MSELoss()
         self.episodes_seen = 0
-        # Per-replica transition staging for vectorized rollouts: replicas
+        # Per-replica staging buffers for vectorized rollouts: replicas
         # accumulate here and flush whole trajectories into the buffer at
         # their episode ends, so GAE never sees interleaved episodes.
-        self._staged: list = []
+        self._staged: List[RolloutBuffer] = []
         # Armed by begin_collect(): raw (pre-normalization) observations
         # captured alongside the buffered transitions so the parent of a
         # parallel collection can replay them through its own normalizer.
@@ -242,14 +234,14 @@ class PPOAgent:
     def take_collected(self) -> dict:
         """Flat arrays of the collected episode, leaving collect mode.
 
-        The payload is :meth:`RolloutBuffer.flat_state` plus a
-        ``raw_obs`` matrix of the pre-normalization observations in step
-        order — everything the parent needs to fold the episode into its
-        own buffer and normalizer via :meth:`absorb_collected`.
+        The payload is :meth:`RolloutBuffer.columns` plus a ``raw_obs``
+        matrix of the pre-normalization observations in step order —
+        everything the parent needs to fold the episode into its own
+        buffer and normalizer via :meth:`absorb_collected`.
         """
         if self._collect_raw is None:
             raise RuntimeError("take_collected() outside begin_collect()")
-        state = self.buffer.flat_state()
+        state = self.buffer.columns()
         if self._collect_raw:
             state["raw_obs"] = np.stack(self._collect_raw)
         else:
@@ -272,23 +264,18 @@ class PPOAgent:
         if self.obs_stat is not None and raw is not None:
             for row in raw:
                 self.obs_stat.update(row)
-        rewards = np.asarray(traj["rewards"], dtype=np.float64)
-        for i in range(rewards.shape[0]):
-            self.buffer.push(
-                np.asarray(traj["obs"][i], dtype=np.float64),
-                np.asarray(traj["actions"][i], dtype=np.float64),
-                float(rewards[i]),
-                float(traj["values"][i]),
-                float(traj["log_probs"][i]),
-                bool(traj["dones"][i]),
-            )
+        self.buffer.extend(traj)
 
     # ------------------------------------------------------------------ #
     # vectorized staging
     # ------------------------------------------------------------------ #
     def begin_staging(self, num_replicas: int) -> None:
-        """Open ``num_replicas`` per-replica trajectory accumulators."""
-        self._staged = [[] for _ in range(num_replicas)]
+        """Open one staging buffer per replica."""
+        cfg = self.config
+        self._staged = [
+            RolloutBuffer(gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
+            for _ in range(num_replicas)
+        ]
 
     def stage(
         self,
@@ -301,9 +288,7 @@ class PPOAgent:
         done: bool,
     ) -> None:
         """Hold one transition for ``replica`` (obs already normalized)."""
-        self._staged[replica].append(
-            (norm_obs, action, reward, value, log_prob, done)
-        )
+        self._staged[replica].push(norm_obs, action, reward, value, log_prob, done)
 
     def flush_staged(self, replica: int) -> None:
         """Move ``replica``'s staged trajectory into the rollout buffer.
@@ -311,26 +296,13 @@ class PPOAgent:
         Called at that replica's episode end — trajectories enter the
         buffer contiguously, in episode-completion order.
         """
-        for norm_obs, action, reward, value, log_prob, done in self._staged[replica]:
-            self.buffer.push(norm_obs, action, reward, value, log_prob, done)
-        self._staged[replica] = []
+        staged = self._staged[replica]
+        self.buffer.extend(staged.columns())
+        staged.clear()
 
     # ------------------------------------------------------------------ #
     # learning
     # ------------------------------------------------------------------ #
-    def enable_buffer_reuse(self, enabled: bool = True) -> None:
-        """Toggle arena-backed buffer reuse for subsequent updates.
-
-        Runtime counterpart of :attr:`PPOConfig.reuse_buffers` for agents
-        constructed without it.  Disabling drops the arena (and its
-        buffers) immediately.
-        """
-        if enabled:
-            if self._arena is None:
-                self._arena = BufferArena()
-        else:
-            self._arena = None
-
     def ready_to_update(self) -> bool:
         """Whether the buffer holds enough transitions for a stable update."""
         threshold = self.config.min_update_batch or 1
@@ -381,13 +353,6 @@ class PPOAgent:
                         stats[key] += stats_mb[key]
                     updates += 1
 
-            if self._arena is not None:
-                # Parameter .grad attributes still point at arena memory
-                # after the last minibatch; drop them so nothing outside
-                # the update observes buffers a future reset will recycle.
-                self.policy.zero_grad()
-                self.value_net.zero_grad()
-
             self.episodes_seen += 1
             self._actor_sched.step()
             self._critic_sched.step()
@@ -412,16 +377,6 @@ class PPOAgent:
             return self.value_net(obs).data.copy()
 
     def _update_minibatch(self, mb: Batch) -> Dict[str, float]:
-        arena = self._arena
-        if arena is None:
-            return self._update_minibatch_impl(mb)
-        # One reset per minibatch: every intermediate of the forward and
-        # backward passes below reuses the same preallocated buffers.
-        arena.reset()
-        with use_arena(arena):
-            return self._update_minibatch_impl(mb)
-
-    def _update_minibatch_impl(self, mb: Batch) -> Dict[str, float]:
         cfg = self.config
         adv = Tensor(mb.advantages)
         old_logp = Tensor(mb.log_probs)

@@ -108,7 +108,7 @@ class RunningMeanStd:
         is keyed on array identity; treat the returned array as read-only,
         and do not mutate ``var`` in place.
         """
-        cache = getattr(self, "_std_cache", None)  # absent on old pickles
+        cache = self._std_cache
         var = self.var
         if cache is not None and cache[0] is var:
             return cache[1]

@@ -79,17 +79,11 @@ VARIANTS = (
     "journal_replay",
     "train_w2",
     "train_w4",
-    "arena_on",
 )
 
 #: The parallel-training identity variants: a seeded Chiron training run
 #: with collection fanned over N workers vs the same run at workers=1.
 TRAIN_VARIANTS = ("train_w2", "train_w4")
-
-#: Variants that drive a Chiron *training* run on a single sequential
-#: env (and therefore only apply to plain single-env scenarios):
-#: the worker-count identities plus the arena buffer-reuse identity.
-_TRAINING_BASED_VARIANTS = TRAIN_VARIANTS + ("arena_on",)
 
 #: The subset that applies to mechanism-driven scenarios — the vectorized
 #: wrapper replays pinned schedules, which a live mechanism doesn't have,
@@ -121,7 +115,7 @@ def supported_variants(scenario: Scenario) -> Sequence[str]:
     if scenario.mechanism is not None:
         return MECHANISM_VARIANTS
     if scenario.num_envs != 1:
-        return tuple(v for v in VARIANTS if v not in _TRAINING_BASED_VARIANTS)
+        return tuple(v for v in VARIANTS if v not in TRAIN_VARIANTS)
     return VARIANTS
 
 
@@ -285,9 +279,7 @@ def _capture_parallel(
     ]
 
 
-def _capture_training(
-    scenario: Scenario, workers: int, reuse_buffers: bool = False
-) -> List[dict]:
+def _capture_training(scenario: Scenario, workers: int) -> List[dict]:
     """A short seeded Chiron training run on the scenario's fleet.
 
     Builds the scenario's environment, binds a quick-tier Chiron
@@ -298,11 +290,6 @@ def _capture_training(
     the canonical per-episode rows
     (:func:`repro.parallel.training_rows`) — the thing the determinism
     contract says must not depend on ``workers``.
-
-    ``reuse_buffers=True`` switches both PPO sub-agents onto the
-    arena-backed allocator (:meth:`repro.rl.PPOAgent.enable_buffer_reuse`)
-    for their updates — the ``arena_on`` variant pins that this is
-    bit-identical to the default allocator.
     """
     from repro.experiments.mechanisms import make_mechanism
     from repro.parallel.training import train_parallel, training_rows
@@ -311,9 +298,6 @@ def _capture_training(
     mechanism = make_mechanism(
         "chiron", env, rng=scenario.mechanism_seed, tier="quick"
     )
-    if reuse_buffers:
-        mechanism.exterior.enable_buffer_reuse()
-        mechanism.inner.enable_buffer_reuse()
     history = train_parallel(
         env,
         mechanism,
@@ -401,11 +385,9 @@ def run_variant(
     multi-replica singles reference; ``parallel_w4`` compares against the
     in-process :func:`~repro.testing.scenarios.capture` of the scenario;
     the ``train_w*`` variants ignore it too and compare a multi-worker
-    training run against the same run at ``workers=1``, and ``arena_on``
-    compares a workers=1 training run under arena buffer reuse against
-    the same run with the default allocator.
+    training run against the same run at ``workers=1``.
     """
-    if variant in _TRAINING_BASED_VARIANTS:
+    if variant in TRAIN_VARIANTS:
         if scenario.mechanism is not None or scenario.num_envs != 1:
             raise ValueError(
                 f"variant {variant!r} trains a Chiron run on a single "
@@ -413,11 +395,8 @@ def run_variant(
                 f"{supported_variants(scenario)}"
             )
         expected = _capture_training(scenario, workers=1)
-        if variant == "arena_on":
-            actual = _capture_training(scenario, workers=1, reuse_buffers=True)
-        else:
-            workers = int(variant.rsplit("_w", 1)[1])
-            actual = _capture_training(scenario, workers=workers)
+        workers = int(variant.rsplit("_w", 1)[1])
+        actual = _capture_training(scenario, workers=workers)
         return DifferentialOutcome(
             scenario=scenario.name,
             variant=variant,

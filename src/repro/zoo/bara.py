@@ -128,7 +128,7 @@ class BARAMechanism(IncentiveMechanism):
             )
             for _ in self.config.fractions
         ]
-        self._training = True
+        self.training = True
         sigma = env.config.local_epochs
         floors = env.population.price_floors(sigma) * FLOOR_LIFT
         self._floors = floors
@@ -139,10 +139,10 @@ class BARAMechanism(IncentiveMechanism):
 
     # -- train/eval switches (evaluate_mechanism drives these) ---------- #
     def train_mode(self) -> None:
-        self._training = True
+        self.training = True
 
     def eval_mode(self) -> None:
-        self._training = False
+        self.training = False
 
     # -- pricing -------------------------------------------------------- #
     def _prices_at_level(self, level: float) -> np.ndarray:
@@ -177,7 +177,7 @@ class BARAMechanism(IncentiveMechanism):
         self._arm = None
 
     def propose_prices(self, obs: Observation) -> np.ndarray:
-        if self._training:
+        if self.training:
             draws = [p.sample(self._rng) for p in self.posteriors]
         else:
             draws = [p.mean for p in self.posteriors]
@@ -194,7 +194,7 @@ class BARAMechanism(IncentiveMechanism):
         return prices
 
     def observe(self, prices: np.ndarray, result: StepResult) -> None:
-        if self._arm is not None and self._training:
+        if self._arm is not None and self.training:
             self.posteriors[self._arm].update(
                 result.accuracy - self._prev_accuracy
             )

@@ -1,11 +1,10 @@
-"""Environment ↔ Population integration: backends, spawn, deprecations."""
+"""Environment ↔ Population integration: backends and spawn."""
 
 import numpy as np
 import pytest
 
 from repro.core.builder import BuildConfig, build_environment
 from repro.population import ObjectPopulation, Population, SoAPopulation
-from repro.population.api import _RAW_ACCESS_WARNED
 
 pytestmark = pytest.mark.population
 
@@ -61,39 +60,3 @@ class TestSpawnKeepsBackend:
         env = _build()
         child = env.spawn(seed=5)
         assert child.population is env.population
-
-
-class TestDeprecatedSurfaces:
-    def test_env_profiles_property_warns(self):
-        env = _build()
-        _RAW_ACCESS_WARNED.discard("EdgeLearningEnv.profiles")
-        with pytest.warns(DeprecationWarning, match="docs/api.md"):
-            profiles = env.profiles
-        assert len(profiles) == env.n_nodes
-        assert profiles[0].zeta_max == env.population.column("zeta_max")[0]
-
-    def test_session_nodes_property_warns(self):
-        build = BuildConfig(
-            n_nodes=3,
-            budget=10.0,
-            seed=3,
-            accuracy_mode="real",
-            samples_per_node=12,
-            test_size=24,
-        ).build()
-        session = build.session
-        _RAW_ACCESS_WARNED.discard("FederatedSession.nodes")
-        with pytest.warns(DeprecationWarning, match="docs/api.md"):
-            nodes = session.nodes
-        assert sorted(nodes) == session.node_ids
-
-    def test_legacy_env_warns_with_removal_version(self):
-        import repro.core.env as env_mod
-
-        env = _build()
-        env_mod._LEGACY_API_WARNED = False  # once-per-process guard
-        try:
-            with pytest.warns(DeprecationWarning, match="removed in v2.0"):
-                env.legacy().reset()
-        finally:
-            env_mod._LEGACY_API_WARNED = True

@@ -1,15 +1,13 @@
 """The Gymnasium-style environment protocol (API redesign PR).
 
-Covers the 5-tuple step contract, the terminated/truncated split, seeded
-reset reproducibility, and the deprecation shim for the pre-redesign
-signatures.
+Covers the 5-tuple step contract, the terminated/truncated split and
+seeded reset reproducibility.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.env as env_module
-from repro.core import LegacyEnvAdapter, StepResult, build_environment
+from repro.core import StepResult, build_environment
 
 
 def make_env(**kwargs):
@@ -128,43 +126,3 @@ class TestStepContract:
         env.step(mid_prices(env))
         with pytest.raises(RuntimeError, match="reset"):
             env.step(mid_prices(env))
-
-
-class TestLegacyAdapter:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_flag(self, monkeypatch):
-        # The shim warns once per process; rearm it so each test observes
-        # the first-use warning independently.
-        monkeypatch.setattr(env_module, "_LEGACY_API_WARNED", False)
-
-    def test_legacy_signatures(self):
-        env = make_env()
-        shim = env.legacy()
-        assert isinstance(shim, LegacyEnvAdapter)
-        with pytest.warns(DeprecationWarning):
-            obs = shim.reset()
-        assert isinstance(obs, np.ndarray) and obs.shape == (env.state_dim,)
-        result = shim.step(mid_prices(env))
-        assert isinstance(result, StepResult)
-        assert result.round_index == 1
-
-    def test_warns_exactly_once(self):
-        shim = make_env().legacy()
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            shim.reset()
-            shim.step(mid_prices(shim))
-            shim.step(mid_prices(shim))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_attribute_passthrough(self):
-        env = make_env()
-        shim = env.legacy()
-        assert shim.n_nodes == env.n_nodes
-        assert shim.state_dim == env.state_dim
-        assert shim.ledger is env.ledger

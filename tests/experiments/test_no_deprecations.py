@@ -1,12 +1,9 @@
 """The supported surfaces emit zero DeprecationWarnings.
 
-``EdgeLearningEnv.profiles`` and ``FederatedSession.nodes`` are
-deprecated raw-node surfaces (see the migration table in docs/api.md);
-everything in ``src/`` and ``examples/`` was migrated to the population
-column API.  These tests pin that: building environments, running
-episodes through every zoo mechanism, lowering a tournament grid, and
-the baselines' planner paths must all stay warning-free — a regression
-here means new code reached for a deprecated surface.
+Building environments, running episodes through every zoo mechanism,
+lowering a tournament grid, and the baselines' planner paths must all
+stay warning-free — a regression here means new code reached for a
+deprecated surface (of this package or of a dependency).
 """
 
 from __future__ import annotations
@@ -55,15 +52,3 @@ def test_tournament_grid_lowering_warning_free():
         warnings.simplefilter("error", DeprecationWarning)
         items = smoke_grid().items()
         assert items
-
-
-def test_deprecated_surfaces_still_warn():
-    """The shims themselves must keep warning (the test above is only
-    meaningful while the deprecated paths are detectable)."""
-    from repro.population.api import _RAW_ACCESS_WARNED
-
-    env = BuildConfig(n_nodes=4, budget=12.0, seed=9).build().env
-    _RAW_ACCESS_WARNED.discard("EdgeLearningEnv.profiles")
-    with pytest.warns(DeprecationWarning, match="EdgeLearningEnv.profiles"):
-        _ = env.profiles
-    _RAW_ACCESS_WARNED.discard("EdgeLearningEnv.profiles")

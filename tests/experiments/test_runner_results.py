@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FixedPriceMechanism, RandomMechanism
+from repro.experiments.mechanisms import make_mechanism
 from repro.experiments.results import EpisodeResult, EvaluationSummary, TrainingHistory
 from repro.experiments.runner import evaluate_mechanism, run_episode, train_mechanism
 
@@ -64,6 +65,17 @@ class TestTrainEvaluate:
     def test_invalid_episode_count(self, env):
         with pytest.raises(ValueError):
             train_mechanism(env, RandomMechanism(env, rng=0), episodes=0)
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("name", ["chiron", "drl_single", "greedy", "bara"])
+    def test_evaluate_restores_callers_mode(self, env, name, training):
+        mechanism = make_mechanism(name, env, rng=0, tier="quick")
+        if training:
+            mechanism.train_mode()
+        else:
+            mechanism.eval_mode()
+        evaluate_mechanism(env, mechanism, episodes=1)
+        assert mechanism.training is training
 
 
 class TestTrainingHistory:

@@ -1,9 +1,8 @@
 """Parallel training engine: determinism, rounds, checkpoints, guards.
 
-The cheap contracts (purity in the seed, async≡deterministic at one
-worker, checkpoint/resume bit-identity, validation errors) run entirely
-in-process (``workers=1`` uses the pool's in-process path — no spawn
-cost).  The tests that launch real worker processes carry the ``train``
+The cheap contracts (purity in the seed, checkpoint/resume
+bit-identity, validation errors) run entirely in-process (``workers=1``
+uses the pool's in-process path — no spawn cost).  The tests that launch real worker processes carry the ``train``
 marker on top of ``parallel``; they are the executable form of the
 worker-count-invariance claim and are slow on 1-core hosts.
 """
@@ -62,11 +61,6 @@ class TestDeterminism:
         assert _fingerprint(seed=11) == _fingerprint(seed=11)
         assert _fingerprint(seed=11) != _fingerprint(seed=12)
 
-    def test_async_equals_deterministic_at_one_worker(self):
-        # At workers=1 arrival order is submission order, so the async
-        # path must coincide with the deterministic one exactly.
-        assert _fingerprint(mode="async") == _fingerprint(mode="deterministic")
-
     def test_sync_every_is_part_of_the_contract(self):
         # The update cadence shapes the trajectory: a different
         # sync_every is a *different* (still deterministic) run.
@@ -93,8 +87,9 @@ class TestValidation:
             train_parallel(env, mechanism, 2, seed=None)
 
     def test_unknown_mode_rejected(self):
+        # There is one collection mode; the engine takes no mode argument.
         env, mechanism = _setup()
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(TypeError, match="mode"):
             train_parallel(env, mechanism, 2, seed=0, mode="eventually")
 
     def test_unsupported_mechanism_rejected(self):

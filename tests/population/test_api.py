@@ -1,4 +1,4 @@
-"""Population protocol surface: coercion, columns, batches, deprecation."""
+"""Population protocol surface: coercion, columns, batches."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from repro.population import (
     SoAPopulation,
     as_population,
     columns_from_profiles,
-    warn_raw_node_access,
 )
-from repro.population.api import _RAW_ACCESS_WARNED
 
 pytestmark = pytest.mark.population
 
@@ -177,21 +175,3 @@ class TestSpawn:
         pop = as_population(profiles, backend="soa")
         with pytest.raises(TypeError, match="HardwareSpec"):
             pop.spawn(seed=1)
-
-
-class TestDeprecationWarnings:
-    def test_raw_access_warns_once_per_surface(self):
-        _RAW_ACCESS_WARNED.discard("test.surface")
-        with pytest.warns(DeprecationWarning, match="docs/api.md"):
-            warn_raw_node_access("test.surface", "Population.column")
-        # second call on the same surface is silent
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            warn_raw_node_access("test.surface", "Population.column")
-
-    def test_warning_names_removal_version(self):
-        _RAW_ACCESS_WARNED.discard("test.versioned")
-        with pytest.warns(DeprecationWarning, match="removal in v2.0"):
-            warn_raw_node_access("test.versioned", "Population.column")

@@ -243,22 +243,22 @@ class TestBufferRoundTrip:
             obs = rng.normal(size=6)
             a, lp, v = agent.act(obs)
             agent.store(obs, a, rng.normal(), v, lp, done=(i == 4))
-        state = agent.buffer.flat_state()
+        state = agent.buffer.columns()
 
         clone = trained_agent(2)
         clone.buffer.clear()
-        clone.buffer.load_flat_state(state)
+        clone.buffer.extend(state)
         assert len(clone.buffer) == len(agent.buffer)
-        mine, theirs = agent.buffer.flat_state(), clone.buffer.flat_state()
+        mine, theirs = agent.buffer.columns(), clone.buffer.columns()
         for key in mine:
             np.testing.assert_array_equal(mine[key], theirs[key])
 
     def test_empty_buffer_round_trips(self):
         agent = trained_agent(3)
         assert len(agent.buffer) == 0  # update() consumed it
-        state = agent.buffer.flat_state()
+        state = agent.buffer.columns()
         clone = trained_agent(3)
-        clone.buffer.load_flat_state(state)
+        clone.buffer.extend(state)
         assert len(clone.buffer) == 0
 
     def test_save_ppo_preserves_buffer_through_archive(self, tmp_path):
@@ -276,3 +276,25 @@ class TestBufferRoundTrip:
         batch_b = clone.buffer.compute(last_value=0.5)
         np.testing.assert_array_equal(batch_a.obs, batch_b.obs)
         np.testing.assert_array_equal(batch_a.advantages, batch_b.advantages)
+
+    def test_grown_buffer_round_trips_through_archive(self, tmp_path):
+        # More rows than the buffer's first allocation, so the archive
+        # carries storage that was regrown mid-collection.
+        agent = trained_agent(6)
+        rng = np.random.default_rng(13)
+        for i in range(150):
+            obs = rng.normal(size=6)
+            a, lp, v = agent.act(obs)
+            agent.store(obs, a, rng.normal(), v, lp, done=(i % 40 == 39))
+        path = save_ppo(agent, tmp_path / "agent.npz")
+        clone = PPOAgent(6, 2, config=agent.config, rng=99)
+        load_ppo(clone, path)
+        assert len(clone.buffer) == 150
+        mine, theirs = agent.buffer.columns(), clone.buffer.columns()
+        for key in mine:
+            assert mine[key].dtype == theirs[key].dtype
+            np.testing.assert_array_equal(mine[key], theirs[key])
+        batch_a = agent.buffer.compute(last_value=0.5)
+        batch_b = clone.buffer.compute(last_value=0.5)
+        np.testing.assert_array_equal(batch_a.advantages, batch_b.advantages)
+        np.testing.assert_array_equal(batch_a.returns, batch_b.returns)
