@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test faults bench bench-smoke perfbench-smoke bench-rollout rollout-smoke bench-sweep bench-train bench-population population-smoke sweep-smoke train-smoke train-resume-test parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test tournament-smoke bench-tournament
+.PHONY: install test faults bench train-resume-test parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -16,17 +16,6 @@ faults:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Quick end-to-end check of the rollout benchmark harness (tiny workload).
-bench-smoke:
-	$(PYTHON) -m pytest -m bench tests/
-
-# Seconds-scale self-check of the repository benchmark (perfbench/): every
-# workload at smoke size with its output checked against perfbench/pins.json,
-# then the benchmark's own tests.
-perfbench-smoke:
-	$(PYTHON) perfbench/run.py --smoke
-	$(PYTHON) -m pytest perfbench
 
 # Instrumented demo episode: prints the Prometheus snapshot + span profile.
 obs-demo:
@@ -50,31 +39,6 @@ diff-matrix:
 fuzz:
 	$(PYTHON) -m repro.testing fuzz
 
-# Regenerate the committed vectorized-rollout throughput report.
-bench-rollout:
-	$(PYTHON) -m repro.bench rollout --num-envs 1,4,8 \
-		--episodes-per-env 6 --warmup-episodes 2 --out BENCH_rollout.json
-
-# Seconds-scale inference hot-path gate: replay one seeded rollout through
-# the fused fast path, a rerun, the per-replica population response, and
-# the generic autograd forward; exits non-zero unless all four fingerprint
-# identically.
-rollout-smoke:
-	$(PYTHON) -m repro.bench rollout --smoke --num-envs 1,4 \
-		--out /tmp/bench_rollout_smoke.json
-
-# Regenerate the committed process-parallel sweep report (wall-clock at
-# each worker count + determinism fingerprints; exits non-zero on a
-# fingerprint mismatch).
-bench-sweep:
-	$(PYTHON) -m repro.bench sweep --workers 1,2,4 --out BENCH_sweep.json
-
-# Regenerate the committed parallel-training report (episodes/sec at
-# each worker count + learning-curve fingerprints; exits non-zero on a
-# fingerprint mismatch).
-bench-train:
-	$(PYTHON) -m repro.bench train --workers 1,2,4 --out BENCH_train.json
-
 # Just the process-parallel engine suite (also part of `test`).
 parallel:
 	$(PYTHON) -m pytest -m parallel tests/
@@ -83,18 +47,6 @@ parallel:
 # clusters, protocol surface (also part of `test`).
 population:
 	$(PYTHON) -m pytest -m population tests/
-
-# Regenerate the committed object-vs-SoA population throughput report
-# (N=5 up to 50k nodes; reruns the backend identity proof at every
-# measured size).
-bench-population:
-	$(PYTHON) -m repro.bench population --out BENCH_population.json
-
-# Seconds-scale population benchmark gate: exits non-zero if the backend
-# identity or the SoA speedup floor fails (the CI hook).
-population-smoke:
-	$(PYTHON) -m repro.bench population --smoke \
-		--out /tmp/bench_population_smoke.json
 
 # Just the crash-safety suite (journal, resume, chaos; also part of `test`).
 resilience:
@@ -110,20 +62,6 @@ chaos-smoke:
 # from the journal, require the golden fingerprint bit for bit.
 resume-test:
 	$(PYTHON) -m repro.resilience resume-test
-
-# Quick end-to-end proof that a 2-worker pooled sweep matches in-process
-# execution bit for bit (tiny workload; exits non-zero on mismatch).
-sweep-smoke:
-	$(PYTHON) -m repro.bench sweep --workers 1,2 --mechanisms greedy,random \
-		--train-episodes 2 --eval-episodes 1 --max-rounds 20 \
-		--out /tmp/sweep_smoke.json
-
-# Quick end-to-end proof that 2-worker parallel training matches the
-# in-process learning curve bit for bit, plus the spawn-heavy training
-# tests (exits non-zero on any fingerprint mismatch).
-train-smoke:
-	$(PYTHON) -m repro.bench train --smoke --out /tmp/train_smoke.json
-	$(PYTHON) -m pytest -m train tests/
 
 # SIGKILL drill for training: kill a journaled 2-worker training run
 # mid-flight, resume from the checkpoints, require the golden learning
@@ -144,18 +82,6 @@ tournament-test:
 # tournament`).
 tournament:
 	$(PYTHON) -m repro.experiments run tournament --out results/
-
-# Tiny 2-mechanism tournament with the worker-count fingerprint gate:
-# exits non-zero on a determinism break (the CI hook).
-tournament-smoke:
-	$(PYTHON) -m repro.bench tournament --smoke \
-		--out /tmp/bench_tournament_smoke.json \
-		--leaderboard-dir /tmp/tournament_smoke_leaderboard
-
-# Regenerate the committed tournament report + leaderboard artifacts
-# (BENCH_tournament.json, results/tournament_leaderboard.{json,md}).
-bench-tournament:
-	$(PYTHON) -m repro.bench tournament --out BENCH_tournament.json
 
 # Regenerate every paper figure/table at quick scale and rebuild the report.
 repro:

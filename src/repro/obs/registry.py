@@ -337,7 +337,7 @@ class Histogram:
 
 # --------------------------------------------------------------------- #
 # no-op twins (module-level singletons; see the guard test in
-# tests/bench/test_obs_overhead.py)
+# tests/obs/test_obs_overhead.py)
 # --------------------------------------------------------------------- #
 class NoopCounter:
     __slots__ = ()

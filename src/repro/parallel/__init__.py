@@ -4,7 +4,7 @@ Fan (scenario, mechanism, seed) work items over a spawn-safe worker pool
 without changing a single result bit: items are hermetic (they carry
 seeds and configs, never live objects), so worker count affects
 wall-clock only.  See ``docs/parallel.md`` for the determinism contract,
-crash semantics, and the bench/differential evidence.
+crash semantics, and the test/differential evidence.
 
 Layout:
 

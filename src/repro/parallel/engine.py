@@ -6,9 +6,9 @@ in-process (``workers<=1``) or over a crash-contained process pool
 (:mod:`repro.parallel.pool`).  Because items are hermetic, the *results*
 are a pure function of the item list — the worker count only changes
 wall-clock time, which is exactly what :meth:`SweepResult.fingerprint`
-asserts (``python -m repro.bench sweep`` records the fingerprint at every
-worker count and the differential matrix's ``parallel_w4`` variant proves
-the same property at trace granularity).
+asserts (``tests/parallel/test_engine.py`` compares it across worker
+counts and the differential matrix's ``parallel_w4`` variant proves the
+same property at trace granularity).
 
 :func:`grid_items` builds the standard (mechanism × budget × seed) grid
 used by Table I and the budget sweeps, reproducing the exact RNG stream

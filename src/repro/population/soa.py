@@ -7,7 +7,8 @@ quantities (energy, timing, utility, payment) are computed for the whole
 fleet at once as column math.  One ``respond`` call replaces N scalar
 :func:`repro.economics.pricing.node_response` calls, which is what lets
 the environment step populations of tens of thousands of nodes
-(see ``BENCH_population.json``).
+(see docs/population.md; ``tests/population/test_throughput.py`` holds
+the speedup floor).
 
 Bit-exactness contract
 ----------------------

@@ -11,19 +11,20 @@ Two proofs, both runnable from CI (``python -m repro.resilience``):
   dropped — and the journal must replay to the same ledger.
 * :func:`run_kill_resume` — the parent-death drill: launch a real
   2-worker ``run_sweep`` over a small mechanism grid in a subprocess,
-  ``SIGKILL`` it once the journal shows progress, resume from the
-  journal, and require the resumed
-  :meth:`~repro.parallel.engine.SweepResult.fingerprint` to be
-  bit-identical to an uninterrupted run's.
+  ``SIGKILL`` its process group (driver, workers, resource tracker) once
+  the journal shows progress, resume from the journal, and require the
+  resumed :meth:`~repro.parallel.engine.SweepResult.fingerprint` to be
+  bit-identical to an uninterrupted run's and no process of the group to
+  survive.
 * :func:`run_kill_resume_training` — the same drill for *training*:
   launch a checkpointed, journaled
   :func:`~repro.parallel.training.train_parallel` run in a subprocess,
-  ``SIGKILL`` it once the journal shows at least one settled training
-  round, resume from the checkpoint directory with workers, and require
-  both the resumed run's
+  ``SIGKILL`` its process group once the journal shows at least one
+  settled training round, resume from the checkpoint directory with
+  workers, and require both the resumed run's
   :func:`~repro.parallel.training.training_fingerprint` and its final
   checkpoint's :func:`~repro.resilience.training.checkpoint_digest` to
-  equal an uninterrupted run's.
+  equal an uninterrupted run's, again with no survivor in the group.
 
 Chaos is *deterministic*: the item mixture is a pure function of the
 seed, so a failing run reproduces exactly.  (Which worker a crash lands
@@ -269,6 +270,64 @@ def run_chaos(
 # --------------------------------------------------------------------- #
 # parent-death drill
 # --------------------------------------------------------------------- #
+def _group_survivors(pgid: int) -> int:
+    """Live (non-zombie) processes in process group ``pgid``, from /proc."""
+    count = 0
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid pgrp ..."; comm may hold spaces.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] not in ("Z", "X"):
+            count += 1
+    return count
+
+
+def _kill_mid_flight(args, progress, kill_after: int, timeout: float):
+    """Run ``python -m repro.resilience *args``; SIGKILL it mid-flight.
+
+    The child leads a new session, so its process group holds the
+    driver, its spawn workers and its resource tracker; killing only the
+    driver would orphan the rest.  The whole group dies once
+    ``progress()`` reaches ``kill_after`` (a child that finishes first is
+    still a valid drill).  Returns ``(killed_mid_flight, survivors)``:
+    live group members left after a 10 s grace, zombies not counted.
+    """
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.resilience", *args],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    killed_mid_flight = False
+    deadline = time.monotonic() + timeout
+    try:
+        while time.monotonic() < deadline and child.poll() is None:
+            if progress() >= kill_after:
+                killed_mid_flight = True
+                break
+            time.sleep(0.05)
+        if not killed_mid_flight:
+            child.wait(timeout=30)
+    finally:
+        # A reaped leader of an empty group may have freed its pid.
+        if child.poll() is None or _group_survivors(child.pid):
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the group exited meanwhile
+        child.wait(timeout=30)
+    deadline = time.monotonic() + 10.0
+    while _group_survivors(child.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return killed_mid_flight, _group_survivors(child.pid)
+
+
+def _journaled(journal_path: str, kind: str) -> int:
+    return len(read_journal(journal_path).of_kind(kind))
+
+
 def kill_resume_grid(seed: int = 0) -> List[dict]:
     """The small real sweep grid the kill/resume drill runs (4 cells)."""
     return grid_items(
@@ -299,13 +358,15 @@ def run_kill_resume(
 
     1. Run the grid uninterrupted (in-process) → golden fingerprint.
     2. Launch ``python -m repro.resilience _child-sweep`` (a real
-       ``run_sweep(..., workers, journal=...)``) and SIGKILL it once the
-       journal holds ``kill_after_items`` completed items.
+       ``run_sweep(..., workers, journal=...)``) in its own session and
+       SIGKILL its whole process group once the journal holds
+       ``kill_after_items`` completed items.
     3. Resume from the journal in this process; completed items replay,
        the rest execute.
-    4. Require resumed fingerprint == golden fingerprint.
+    4. Require resumed fingerprint == golden fingerprint, and no
+       process of the killed group left alive (``survivors == 0``).
 
-    Returns a report dict with both fingerprints and ``ok``.
+    Returns a report dict with both fingerprints, ``survivors`` and ``ok``.
     """
     scratch = Path(tempfile.mkdtemp(prefix="kill-resume-"))
     journal_path = journal_path or str(scratch / "sweep.journal.jsonl")
@@ -313,11 +374,8 @@ def run_kill_resume(
 
     golden: SweepResult = run_sweep(items, workers=1).raise_on_quarantine()
 
-    child = subprocess.Popen(
+    killed_mid_flight, survivors = _kill_mid_flight(
         [
-            sys.executable,
-            "-m",
-            "repro.resilience",
             "_child-sweep",
             "--journal",
             journal_path,
@@ -326,46 +384,23 @@ def run_kill_resume(
             "--seed",
             str(seed),
         ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        lambda: _journaled(journal_path, KIND_ITEM_OK),
+        kill_after_items,
+        timeout,
     )
-    killed_mid_flight = False
-    deadline = time.monotonic() + timeout
-    try:
-        while time.monotonic() < deadline:
-            if child.poll() is not None:
-                break  # finished before we could kill it — still valid
-            done = sum(
-                1
-                for record in read_journal(journal_path).records
-                if record.kind == KIND_ITEM_OK
-            )
-            if done >= kill_after_items:
-                os.kill(child.pid, signal.SIGKILL)
-                killed_mid_flight = True
-                break
-            time.sleep(0.05)
-        child.wait(timeout=30)
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait(timeout=30)
 
-    journaled_before_resume = sum(
-        1
-        for record in read_journal(journal_path).records
-        if record.kind == KIND_ITEM_OK
-    )
+    journaled_before_resume = _journaled(journal_path, KIND_ITEM_OK)
     resumed = run_sweep(
         items, workers=1, journal=journal_path
     ).raise_on_quarantine()
 
-    ok = resumed.fingerprint() == golden.fingerprint()
+    ok = resumed.fingerprint() == golden.fingerprint() and survivors == 0
     if _obs.enabled():
         _obs.counter("resilience.chaos.parent_kills").inc()
     return {
         "ok": ok,
         "killed_mid_flight": killed_mid_flight,
+        "survivors": survivors,
         "items": len(items),
         "journaled_before_resume": journaled_before_resume,
         "golden_fingerprint": golden.fingerprint(),
@@ -409,18 +444,6 @@ def kill_resume_training_setup(seed: int = 0):
     return build.env, mechanism
 
 
-def _train_rounds_journaled(journal_path: str) -> int:
-    from repro.parallel.training import KIND_TRAIN_ROUND
-
-    if not Path(journal_path).exists():
-        return 0
-    return sum(
-        1
-        for record in read_journal(journal_path).records
-        if record.kind == KIND_TRAIN_ROUND
-    )
-
-
 def run_kill_resume_training(
     workers: int = 2,
     seed: int = 0,
@@ -433,17 +456,23 @@ def run_kill_resume_training(
     1. Run the drill recipe uninterrupted (``workers=1``) → golden
        training fingerprint + golden final-checkpoint digest.
     2. Launch ``python -m repro.resilience _child-train`` (a real
-       journaled, checkpointed ``train_parallel`` with ``workers``) and
-       SIGKILL it once the journal holds ``kill_after_rounds`` settled
-       ``train_round`` records.
+       journaled, checkpointed ``train_parallel`` with ``workers``) in
+       its own session and SIGKILL its whole process group once the
+       journal holds ``kill_after_rounds`` settled ``train_round``
+       records.
     3. Resume in this process from the child's checkpoint directory,
        again with ``workers``.
     4. Require resumed fingerprint == golden fingerprint AND resumed
-       final-checkpoint digest == golden final-checkpoint digest.
+       final-checkpoint digest == golden final-checkpoint digest AND no
+       process of the killed group left alive (``survivors == 0``).
 
-    Returns a report dict with both pairs and ``ok``.
+    Returns a report dict with both pairs, ``survivors`` and ``ok``.
     """
-    from repro.parallel.training import train_parallel, training_fingerprint
+    from repro.parallel.training import (
+        KIND_TRAIN_ROUND,
+        train_parallel,
+        training_fingerprint,
+    )
     from repro.resilience.journal import RunJournal
     from repro.resilience.training import checkpoint_digest, latest_checkpoint
 
@@ -466,11 +495,8 @@ def run_kill_resume_training(
     golden_fp = training_fingerprint(golden_history)
     golden_ckpt = checkpoint_digest(latest_checkpoint(golden_dir))
 
-    child = subprocess.Popen(
+    killed_mid_flight, survivors = _kill_mid_flight(
         [
-            sys.executable,
-            "-m",
-            "repro.resilience",
             "_child-train",
             "--journal",
             journal_path,
@@ -481,27 +507,12 @@ def run_kill_resume_training(
             "--seed",
             str(seed),
         ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        lambda: _journaled(journal_path, KIND_TRAIN_ROUND),
+        kill_after_rounds,
+        timeout,
     )
-    killed_mid_flight = False
-    deadline = time.monotonic() + timeout
-    try:
-        while time.monotonic() < deadline:
-            if child.poll() is not None:
-                break  # finished before we could kill it — still valid
-            if _train_rounds_journaled(journal_path) >= kill_after_rounds:
-                os.kill(child.pid, signal.SIGKILL)
-                killed_mid_flight = True
-                break
-            time.sleep(0.05)
-        child.wait(timeout=30)
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.wait(timeout=30)
 
-    rounds_before_resume = _train_rounds_journaled(journal_path)
+    rounds_before_resume = _journaled(journal_path, KIND_TRAIN_ROUND)
     env, mechanism = kill_resume_training_setup(seed)
     with RunJournal(journal_path) as journal:
         resumed_history = train_parallel(
@@ -518,12 +529,17 @@ def run_kill_resume_training(
     resumed_fp = training_fingerprint(resumed_history)
     resumed_ckpt = checkpoint_digest(latest_checkpoint(drill_dir))
 
-    ok = resumed_fp == golden_fp and resumed_ckpt == golden_ckpt
+    ok = (
+        resumed_fp == golden_fp
+        and resumed_ckpt == golden_ckpt
+        and survivors == 0
+    )
     if _obs.enabled():
         _obs.counter("resilience.chaos.parent_kills").inc()
     return {
         "ok": ok,
         "killed_mid_flight": killed_mid_flight,
+        "survivors": survivors,
         "episodes": TRAIN_DRILL["episodes"],
         "rounds_journaled_before_resume": rounds_before_resume,
         "golden_fingerprint": golden_fp,

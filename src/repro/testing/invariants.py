@@ -33,7 +33,7 @@ Enable/disable mirrors :mod:`repro.obs`: a module-level switch that the
 wrapper consults with one global read, so a disabled auditor adds no
 allocation to the hot path (guarded by
 ``tests/testing/test_invariants.py`` with the same tracemalloc pattern as
-``tests/bench/test_obs_overhead.py``)::
+``tests/obs/test_obs_overhead.py``)::
 
     from repro.testing import invariants
 

@@ -9,10 +9,12 @@ support, and aggregated into a ranked
 Entry points::
 
     chiron-repro run tournament --workers 4 --journal runs/t.jsonl
-    python -m repro.bench tournament [--smoke]
-    make tournament / make tournament-smoke
+    chiron-repro run tournament --scale paper --out results/
+    make tournament
 
-See docs/mechanisms.md for the leaderboard artifact schema.
+The paper-scale run writes the committed leaderboard,
+``results/tournament_paper_seed0.json``; see docs/mechanisms.md for its
+schema.
 """
 
 from repro.tournament.grid import (

@@ -146,7 +146,7 @@ def smoke_grid(
     mechanisms: Tuple[str, ...] = ("stackelberg", "greedy"),
     seed: int = 0,
 ) -> TournamentGrid:
-    """Tiny seconds-scale grid for CI: 2 mechanisms, N=4, 1 budget, 1 seed.
+    """Tiny seconds-scale grid for tests: 2 mechanisms, N=4, 1 budget, 1 seed.
 
     Small enough that the fingerprint identity across worker counts runs
     in the test suite, yet it still crosses the full item path (build →
@@ -170,7 +170,7 @@ def smoke_grid(
 
 
 def default_grid(seed: int = 0) -> TournamentGrid:
-    """The committed ``BENCH_tournament.json`` grid.
+    """The grid behind the committed ``results/tournament_paper_seed0.json``.
 
     Every non-oracle registered mechanism crosses the paper's N=5 fleet
     (clean + faulted, two budgets, two seeds) and a clustered N=1000 SoA

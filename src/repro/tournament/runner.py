@@ -10,8 +10,7 @@ aggregates the settled cells into a ranked
 The tournament's determinism contract is inherited from the engine: the
 :meth:`TournamentResult.fingerprint` is a pure function of the grid, so
 it is bit-identical for any worker count and across journal resumes
-(``tests/tournament/`` and ``python -m repro.bench tournament`` both
-assert this).
+(``tests/tournament/test_runner.py`` asserts both).
 """
 
 from __future__ import annotations

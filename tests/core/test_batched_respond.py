@@ -5,7 +5,9 @@ The vectorized env answers all M replicas with ONE population call on the
 immutable population and the SoA best response is pure elementwise math
 (row-for-row bit-identical to M separate calls).  Eval-mode Chiron skips
 both critic forwards; transitions proposed that way carry no values and
-must be rejected loudly if someone later tries to train on them.
+must be rejected loudly if someone later tries to train on them.  A whole
+seeded vectorized rollout must not depend on whether the policy runs the
+fused inference kernels or the generic autograd forward.
 """
 
 import numpy as np
@@ -18,7 +20,10 @@ from repro.core import (
     build_environment,
 )
 from repro.core.mechanism import Observation
+from repro.experiments.runner import run_episodes_vectorized
+from repro.nn.module import Module
 from repro.rl import PPOConfig
+from repro.rl import policy as policy_module
 
 
 def make_env(**kwargs):
@@ -130,3 +135,52 @@ class TestEvalModeValueSkip:
         agent.train_mode()
         with pytest.raises(RuntimeError, match="eval mode"):
             agent.observe(prices, info["step_result"])
+
+
+def seeded_rollout(num_envs=4, episodes=8):
+    """Per-episode results of one seeded eval-mode vectorized rollout.
+
+    deterministic_eval=False keeps the stochastic acting path (normalizer
+    updates + Gaussian sampling) under eval mode.
+    """
+    env = build_environment(seed=0, n_nodes=5, budget=100.0).env
+    agent = ChironAgent(
+        env,
+        ChironConfig(deterministic_eval=False),
+        rng=np.random.default_rng(42),
+    )
+    agent.eval_mode()
+    venv = VectorizedEdgeLearningEnv.from_env(env, num_envs)
+    return [
+        (
+            r.rounds,
+            r.final_accuracy,
+            r.mean_time_efficiency,
+            r.total_learning_time,
+            r.budget_spent,
+            r.reward_exterior,
+            r.reward_inner,
+            r.wasted_rounds,
+        )
+        for r, _ in run_episodes_vectorized(venv, agent, episodes, num_envs)
+    ]
+
+
+class TestFusedRolloutIdentity:
+    def test_fused_rerun_and_autograd_forward_agree(self, monkeypatch):
+        fused = seeded_rollout()
+        rerun = seeded_rollout()
+        calls = []
+
+        def autograd_forward(net, x):
+            calls.append(1)
+            return Module.infer(net, x)
+
+        # Every policy and value forward now bypasses the fused
+        # Sequential.infer kernels for the generic graph-free forward.
+        monkeypatch.setattr(policy_module, "_fast_forward", autograd_forward)
+        autograd = seeded_rollout()
+        assert calls
+        assert len(fused) == 8
+        assert fused == rerun
+        assert fused == autograd

@@ -6,8 +6,8 @@ module-level singleton and the no-op span allocates nothing.  This suite
 pins that down so a future change (e.g. building a fresh no-op object per
 call, or a span per node in the fused response loop) fails loudly.
 
-Marked `obs`, not `bench` — these are cheap correctness guards that run
-with the default suite.
+Marked `obs`: these are cheap correctness guards that run with the
+default suite.
 """
 
 from __future__ import annotations

@@ -87,6 +87,9 @@ class TestKillResume:
         assert (
             report["resumed_fingerprint"] == report["golden_fingerprint"]
         )
+        # The SIGKILL takes the driver's spawn workers and resource
+        # tracker with it: nothing is left orphaned.
+        assert report["survivors"] == 0
 
 
 class TestKillResumeTraining:
@@ -117,3 +120,4 @@ class TestKillResumeTraining:
             report["resumed_checkpoint_digest"]
             == report["golden_checkpoint_digest"]
         )
+        assert report["survivors"] == 0

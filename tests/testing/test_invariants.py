@@ -120,7 +120,7 @@ class TestDisabledModeIsFree:
         assert auditor.rounds_audited == 0
 
     def test_disabled_step_allocates_nothing_in_auditor(self):
-        # Mirrors tests/bench/test_obs_overhead.py: with auditing off the
+        # Mirrors tests/obs/test_obs_overhead.py: with auditing off the
         # wrapper's step must add zero allocations attributable to the
         # invariants module.
         assert not invariants_mod.enabled()

@@ -87,13 +87,3 @@ class TestExperimentRegistration:
 
         spec = get_experiment("tournament")
         assert spec.exp_id == "tournament"
-
-    def test_bench_smoke_report_gate(self):
-        from repro.bench.tournament import run_tournament_benchmark
-
-        report, result = run_tournament_benchmark(
-            worker_counts=(1,), smoke=True, seed=0
-        )
-        assert report["fingerprints_identical"]
-        assert report["fingerprint"] == result.fingerprint()
-        assert report["leaderboard"]["rows"]
