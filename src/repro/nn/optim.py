@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -73,7 +73,13 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
+    """Adam with bias correction (Kingma & Ba, 2015).
+
+    The first and second moments are two flat vectors over all parameters
+    (raveled in order), allocated at the first :meth:`step`.  Every update
+    is elementwise, so one whole-vector pass is bit-identical to a
+    per-parameter loop over the same expressions.
+    """
 
     def __init__(
         self,
@@ -94,35 +100,33 @@ class Adam(Optimizer):
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self._step_count = 0
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
 
     @property
     def step_count(self) -> int:
         """Number of :meth:`step` calls (drives bias correction)."""
         return self._step_count
 
+    def _size(self) -> int:
+        return sum(p.data.size for p in self.parameters)
+
     def flat_state(self) -> Dict[str, np.ndarray]:
         """First/second moments and step count as flat arrays.
 
-        Moments for parameters never touched by :meth:`step` read as
-        zeros, matching their lazy initialization, so the round trip
-        through :meth:`load_flat_state` is exact at any training point.
+        Before the first :meth:`step` the moments read as zeros, matching
+        their lazy initialization, so the round trip through
+        :meth:`load_flat_state` is exact at any training point.
         """
-        m_parts = []
-        v_parts = []
-        for index, param in enumerate(self.parameters):
-            m = self._m.get(index)
-            m_parts.append(
-                np.ravel(m) if m is not None else np.zeros(param.data.size)
-            )
-            v = self._v.get(index)
-            v_parts.append(
-                np.ravel(v) if v is not None else np.zeros(param.data.size)
-            )
+        if self._m is None:
+            m = np.zeros(self._size())
+            v = np.zeros(self._size())
+        else:
+            m = self._m.copy()
+            v = self._v.copy()
         return {
-            "m": np.concatenate(m_parts),
-            "v": np.concatenate(v_parts),
+            "m": m,
+            "v": v,
             "step_count": np.array([self._step_count], dtype=np.int64),
         }
 
@@ -130,21 +134,16 @@ class Adam(Optimizer):
         self, m: np.ndarray, v: np.ndarray, step_count: int
     ) -> None:
         """Restore moments written by :meth:`flat_state`."""
-        total = sum(p.data.size for p in self.parameters)
-        m = np.asarray(m, dtype=np.float64).ravel()
-        v = np.asarray(v, dtype=np.float64).ravel()
+        total = self._size()
+        m = np.array(m, dtype=np.float64).ravel()
+        v = np.array(v, dtype=np.float64).ravel()
         if m.size != total or v.size != total:
             raise ValueError(
                 f"moment vectors of size {m.size}/{v.size} do not match "
                 f"{total} optimized parameters"
             )
-        offset = 0
-        for index, param in enumerate(self.parameters):
-            size = param.data.size
-            shape = param.data.shape
-            self._m[index] = m[offset : offset + size].reshape(shape).copy()
-            self._v[index] = v[offset : offset + size].reshape(shape).copy()
-            offset += size
+        self._m = m
+        self._v = v
         self._step_count = int(step_count)
 
     def step(self) -> None:
@@ -152,21 +151,35 @@ class Adam(Optimizer):
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for index, (param, grad) in enumerate(zip(self.parameters, self._grads())):
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m = self._m.get(index)
-            v = self._v.get(index)
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad**2
-            self._m[index] = m
-            self._v[index] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad = np.concatenate([g.ravel() for g in self._grads()])
+        if self.weight_decay:
+            grad += self.weight_decay * np.concatenate(
+                [p.data.ravel() for p in self.parameters]
+            )
+        if self._m is None:
+            self._m = np.zeros_like(grad)
+            self._v = np.zeros_like(grad)
+        m, v = self._m, self._v
+        # m = beta1 * m + (1 - beta1) * grad
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        # v = beta2 * v + (1 - beta2) * grad**2
+        v *= self.beta2
+        np.square(grad, out=grad)
+        grad *= 1 - self.beta2
+        v += grad
+        # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        denom = np.divide(v, bias2, out=grad)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = m / bias1
+        update *= self.lr
+        update /= denom
+        offset = 0
+        for param in self.parameters:
+            data = param.data
+            data -= update[offset : offset + data.size].reshape(data.shape)
+            offset += data.size
 
 
 class ExponentialLR:

@@ -15,11 +15,16 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.rl.buffer import Batch, RolloutBuffer
-from repro.rl.policy import GaussianPolicy, ValueNetwork
+from repro.rl.policy import (
+    _LOG_2PI,
+    _LOG_STD_MAX,
+    _LOG_STD_MIN,
+    GaussianPolicy,
+    ValueNetwork,
+)
 from repro.rl.running_stat import RunningMeanStd
 from repro.nn.losses import MSELoss
 from repro.nn.optim import Adam, ExponentialLR
-from repro.autograd.tensor import Tensor
 from repro.utils.rng import RNGLike, as_generator, spawn_generators
 from repro.utils.validation import check_in_range, check_positive
 
@@ -83,16 +88,58 @@ def _explained_variance(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _clip_gradients(parameters, max_norm: float) -> float:
-    """Global-norm gradient clipping; returns the pre-clip norm."""
+    """Global-norm gradient clipping; returns the pre-clip norm.
+
+    The squared norms are added left to right with ``+=``: the builtin
+    ``sum`` of floats is compensated from Python 3.12 on, which would move
+    the last bit of the norm, and so the clip scale, with the interpreter.
+    """
     grads = [p.grad for p in parameters if p.grad is not None]
     if not grads:
         return 0.0
-    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads)))
+    total = 0.0
+    for g in grads:
+        total += float((g**2).sum())
+    total = float(np.sqrt(total))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / (total + 1e-12)
         for g in grads:
             g *= scale
     return total
+
+
+def _mlp_forward(linears, x: np.ndarray):
+    """Forward through a Tanh MLP given its ``Linear`` layers in order.
+
+    Returns ``(inputs, out)``: ``inputs[k]`` is layer ``k``'s input — the
+    observations, then each tanh output — as :func:`_mlp_backward` needs.
+    The ops are :meth:`Linear.forward`'s, so the output is bit-identical.
+    """
+    inputs = []
+    last = len(linears) - 1
+    for index, linear in enumerate(linears):
+        inputs.append(x)
+        x = x @ linear.weight.data.T
+        x += linear.bias.data
+        if index < last:
+            x = np.tanh(x, out=x)
+    return inputs, x
+
+
+def _mlp_backward(linears, inputs, grad: np.ndarray) -> None:
+    """Set every ``Linear`` weight and bias ``.grad`` for output gradient ``grad``.
+
+    Repeats the autograd closures of ``x @ W.T + b`` and ``tanh``; the
+    gradient of the network input is never formed.
+    """
+    for index in range(len(linears) - 1, -1, -1):
+        linear = linears[index]
+        x = inputs[index]
+        linear.bias.grad = grad.sum(axis=(0,))
+        linear.weight.grad = (x.T @ grad).T.copy()
+        if index:
+            grad = grad @ linear.weight.data
+            grad = grad * (1.0 - x**2)
 
 
 class PPOAgent:
@@ -360,8 +407,11 @@ class PPOAgent:
             result = {key: stats[key] / n for key in keys}
             result["actor_lr"] = self.actor_opt.lr
             result["batch_size"] = float(len(batch))
+            # Graph-free and cache-free: Sequential.infer would leave
+            # compiled closures on the net, and train_parallel pickles it.
+            _, values = _mlp_forward(list(self.value_net.net)[::2], batch.obs)
             result["explained_variance"] = _explained_variance(
-                self._predict_values(batch.obs), batch.returns
+                values.reshape(-1), batch.returns
             )
         if _obs.enabled():
             _obs.counter("ppo.updates").inc()
@@ -370,49 +420,75 @@ class PPOAgent:
                 _obs.ewma(f"ppo.{key}").update(result[key])
         return result
 
-    def _predict_values(self, obs: np.ndarray) -> np.ndarray:
-        from repro.autograd import no_grad
-
-        with no_grad():
-            return self.value_net(obs).data.copy()
-
     def _update_minibatch(self, mb: Batch) -> Dict[str, float]:
+        """One actor and one critic step on a minibatch, graph-free.
+
+        Computes the loss of :meth:`GaussianPolicy.log_prob`,
+        :meth:`GaussianPolicy.entropy`, the clipped surrogate and
+        :class:`MSELoss`, and its gradient by hand. Every forward value and
+        gradient repeats the ufuncs and operand order of the autograd ops
+        it replaces, so parameters, optimizer moments and statistics are
+        bit-identical to ``loss.backward()`` on that graph (gated by
+        ``tests/rl/test_fused_update.py``).
+        """
         cfg = self.config
-        adv = Tensor(mb.advantages)
-        old_logp = Tensor(mb.log_probs)
+        n = len(mb)
+        adv = mb.advantages
+        low, high = 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio
 
         # Actor: PPO clipped surrogate + entropy bonus.
-        logp = self.policy.log_prob(mb.obs, mb.actions)
-        ratio = (logp - old_logp).exp()
+        policy = self.policy
+        linears = list(policy.mean_net)[::2]
+        inputs, mean = _mlp_forward(linears, mb.obs)
+        raw_log_std = policy.log_std.data
+        in_band = (raw_log_std >= _LOG_STD_MIN) & (raw_log_std <= _LOG_STD_MAX)
+        log_std = np.clip(raw_log_std, _LOG_STD_MIN, _LOG_STD_MAX)
+        inv_std = np.exp(-log_std)
+        diff = mb.actions - mean
+        z = diff * inv_std
+        logp = (z * z * (-0.5) - log_std - 0.5 * _LOG_2PI).sum(axis=1)
+        ratio = np.exp(logp - mb.log_probs)
         surr1 = ratio * adv
-        surr2 = ratio.clip(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * adv
-        entropy = self.policy.entropy()
-        actor_loss = -(surr1.minimum(surr2)).mean() - cfg.entropy_coef * entropy
-        self.actor_opt.zero_grad()
-        actor_loss.backward()
+        surr2 = np.clip(ratio, low, high) * adv
+        take1 = surr1 <= surr2
+        objective = np.where(take1, surr1, surr2).sum() * (1.0 / n)
+        entropy = (log_std + 0.5 * (1.0 + _LOG_2PI)).sum()
+        actor_loss = -objective - entropy * cfg.entropy_coef
+
+        # d(actor_loss): mean → minimum → surrogates → ratio → log π.
+        g_min = np.full(n, -(1.0 / n))
+        in_clip = (ratio >= low) & (ratio <= high)
+        g_ratio = g_min * take1 * adv + g_min * ~take1 * adv * in_clip
+        g_per_dim = np.repeat((g_ratio * ratio)[:, None], policy.act_dim, axis=1)
+        g_z = g_per_dim * (-0.5) * z
+        g_z += g_z  # z * z: two equal terms
+        g_inv_std = (g_z * diff).sum(axis=(0,)) * inv_std
+        g_log_std = -g_per_dim.sum(axis=(0,)) + -g_inv_std
+        g_entropy = np.full(policy.act_dim, -1.0 * cfg.entropy_coef)
+        policy.log_std.grad = g_log_std * in_band + g_entropy * in_band
+        _mlp_backward(linears, inputs, -(g_z * inv_std))
         _clip_gradients(self.actor_opt.parameters, cfg.max_grad_norm)
         self.actor_opt.step()
 
         # Critic: TD(λ)-return regression (Algorithm 1 lines 19-20).
-        values = self.value_net(mb.obs)
-        critic_loss = self._mse(values, mb.returns)
-        self.critic_opt.zero_grad()
-        critic_loss.backward()
+        linears = list(self.value_net.net)[::2]
+        inputs, values = _mlp_forward(linears, mb.obs)
+        err = values.reshape(-1) - mb.returns
+        critic_loss = (err * err).sum() * (1.0 / n)
+        g_err = np.full(n, 1.0 / n) * err
+        g_err += g_err  # err * err: two equal terms
+        _mlp_backward(linears, inputs, g_err.reshape(n, 1))
         _clip_gradients(self.critic_opt.parameters, cfg.max_grad_norm)
         self.critic_opt.step()
 
         # Standard PPO health diagnostics: a one-sample KL estimate and the
         # fraction of ratios that hit the clip boundary.
-        ratio_np = ratio.data
-        logp_np = logp.data
-        approx_kl = float(np.mean(mb.log_probs - logp_np))
-        clip_fraction = float(
-            np.mean(np.abs(ratio_np - 1.0) > cfg.clip_ratio)
-        )
+        approx_kl = float(np.mean(mb.log_probs - logp))
+        clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio))
         return {
-            "actor_loss": float(actor_loss.item()),
-            "critic_loss": float(critic_loss.item()),
-            "entropy": float(entropy.item()),
+            "actor_loss": float(actor_loss),
+            "critic_loss": float(critic_loss),
+            "entropy": float(entropy),
             "approx_kl": approx_kl,
             "clip_fraction": clip_fraction,
         }

@@ -64,27 +64,78 @@ class TestAdam:
         Adam([p], lr=0.01).step()
         np.testing.assert_allclose(p.data, [-0.01], atol=1e-6)
 
+    @staticmethod
+    def reference_adam(values, grads, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        """Per-parameter Adam with :meth:`Adam.step`'s expressions, in order."""
+        beta1, beta2 = betas
+        params = [x.copy() for x in values]
+        m = [np.zeros_like(x) for x in values]
+        v = [np.zeros_like(x) for x in values]
+        for t, step_grads in enumerate(grads, start=1):
+            bias1 = 1.0 - beta1**t
+            bias2 = 1.0 - beta2**t
+            for i, g in enumerate(step_grads):
+                g = np.zeros_like(params[i]) if g is None else g
+                if weight_decay:
+                    g = g + weight_decay * params[i]
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g**2
+                m_hat = m[i] / bias1
+                v_hat = v[i] / bias2
+                params[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        return params
+
     def test_matches_reference_impl(self, rng):
-        values = rng.normal(size=4)
-        grads = [rng.normal(size=4) for _ in range(5)]
-        p = make_param(values.copy())
-        opt = Adam([p], lr=0.05, betas=(0.9, 0.999), eps=1e-8)
+        shapes = [(3, 4), (4,), (1,), (2, 1, 3)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        grads = [[rng.normal(size=shape) for shape in shapes] for _ in range(6)]
+        for step in (1, 4):  # parameter 2 misses its grad on some steps
+            grads[step][2] = None
+        for weight_decay in (0.0, 0.01):
+            expected = self.reference_adam(values, grads, 0.05, weight_decay)
+            params = [make_param(v.copy()) for v in values]
+            opt = Adam(params, lr=0.05, weight_decay=weight_decay)
+            for step_grads in grads:
+                for p, g in zip(params, step_grads):
+                    p.grad = None if g is None else g.copy()
+                opt.step()
+            for p, want in zip(params, expected):
+                np.testing.assert_array_equal(p.data, want)
 
-        # Reference
-        ref = values.copy()
-        m = np.zeros(4)
-        v = np.zeros(4)
-        for t, g in enumerate(grads, start=1):
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g**2
-            m_hat = m / (1 - 0.9**t)
-            v_hat = v / (1 - 0.999**t)
-            ref -= 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_flat_state_round_trip_then_continue(self, rng, k):
+        shapes = [(3, 4), (4,), (1,)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        grads = [[rng.normal(size=shape) for shape in shapes] for _ in range(5)]
+        grads[k][1] = None
+        expected = self.reference_adam(values, grads, 0.05, 0.01)
 
-        for g in grads:
-            p.grad = g.copy()
+        params = [make_param(v.copy()) for v in values]
+        opt = Adam(params, lr=0.05, weight_decay=0.01)
+        for step_grads in grads[:k]:
+            for p, g in zip(params, step_grads):
+                p.grad = None if g is None else g.copy()
             opt.step()
-        np.testing.assert_allclose(p.data, ref, atol=1e-12)
+        state = opt.flat_state()
+        assert state["m"].shape == state["v"].shape == (17,)
+
+        resumed = [make_param(p.data.copy()) for p in params]
+        opt = Adam(resumed, lr=0.05, weight_decay=0.01)
+        opt.load_flat_state(state["m"], state["v"], int(state["step_count"][0]))
+        assert opt.step_count == k
+        for key, value in opt.flat_state().items():
+            np.testing.assert_array_equal(value, state[key])
+        for step_grads in grads[k:]:
+            for p, g in zip(resumed, step_grads):
+                p.grad = None if g is None else g.copy()
+            opt.step()
+        for p, want in zip(resumed, expected):
+            np.testing.assert_array_equal(p.data, want)
+
+    def test_load_flat_state_rejects_wrong_size(self):
+        opt = Adam([make_param([1.0, 2.0])], lr=0.1)
+        with pytest.raises(ValueError):
+            opt.load_flat_state(np.zeros(3), np.zeros(3), 1)
 
     def test_weight_decay(self):
         p = make_param([1.0])

@@ -1,11 +1,18 @@
 """PPO agent: mechanics and learning."""
 
+import builtins
+import math
+
 import numpy as np
 import pytest
 
 from repro.autograd.gradcheck import gradcheck
-from repro.autograd.tensor import Tensor
+from repro.nn import Parameter
 from repro.rl import PPOAgent, PPOConfig, RunningMeanStd
+from repro.rl.buffer import Batch
+from repro.rl.ppo import _clip_gradients
+
+from tests.rl.ppo_reference import actor_loss, critic_loss
 
 
 def fast_config(**overrides):
@@ -131,30 +138,41 @@ class TestCollectedPayload:
 class TestLossGradcheck:
     def test_full_ppo_loss_gradcheck(self):
         # Finite-difference check of the full PPO objective (clipped
-        # surrogate + entropy + value regression).  Tiny nets keep the
+        # surrogate + entropy + value regression) that the fused
+        # minibatch step must reproduce.  Tiny nets keep the
         # central-difference sweep affordable.
         agent = PPOAgent(3, 2, config=PPOConfig(hidden=(4,)), rng=1)
         rng = np.random.default_rng(5)
-        obs = rng.normal(size=(6, 3))
-        actions = rng.normal(size=(6, 2))
-        old_logp = Tensor(rng.normal(size=6) * 0.1)
-        adv = Tensor(rng.normal(size=6))
-        returns = Tensor(rng.normal(size=6))
-        cfg = agent.config
+        mb = Batch(
+            obs=rng.normal(size=(6, 3)),
+            actions=rng.normal(size=(6, 2)),
+            log_probs=rng.normal(size=6) * 0.1,
+            advantages=rng.normal(size=6),
+            returns=rng.normal(size=6),
+        )
 
         def ppo_loss(*params):
-            logp = agent.policy.log_prob(obs, actions)
-            ratio = (logp - old_logp).exp()
-            surr1 = ratio * adv
-            surr2 = ratio.clip(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * adv
-            actor = -(surr1.minimum(surr2)).mean()
-            actor = actor - cfg.entropy_coef * agent.policy.entropy()
-            values = agent.value_net(obs)
-            critic = ((values - returns) * (values - returns)).mean()
-            return actor + critic
+            return actor_loss(agent, mb)[0] + critic_loss(agent, mb)
 
         params = list(agent.policy.parameters()) + list(agent.value_net.parameters())
         assert gradcheck(ppo_loss, params, atol=1e-5, rtol=1e-3)
+
+
+class TestClipGradients:
+    def test_norm_sums_left_to_right(self, monkeypatch):
+        # Squared norms 1.0 then eight 2**-53: each left-to-right addition
+        # rounds back to 1.0, a compensated sum (Python >= 3.12's builtin
+        # ``sum``) gives 1 + 2**-50.  The norm must not follow the builtin.
+        params = [Parameter(np.zeros(1))] + [Parameter(np.zeros(2)) for _ in range(8)]
+        params[0].grad = np.array([1.0])
+        for p in params[1:]:
+            p.grad = np.array([2.0**-27, 2.0**-27])
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                builtins, "sum", lambda items, start=0: math.fsum(items) + start
+            )
+            norm = _clip_gradients(params, max_norm=0.0)
+        assert norm == 1.0
 
 
 class TestLearning:
