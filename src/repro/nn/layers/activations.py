@@ -1,23 +1,10 @@
-"""Activation modules (stateless wrappers over tensor/functional ops).
-
-Each module also implements :meth:`~repro.nn.module.Module.infer` — a
-raw-numpy replica of its forward arithmetic (same ufuncs, same order, so
-bit-identical outputs) used by the graph-free inference path.
-"""
+"""Activation modules (stateless wrappers over tensor/functional ops)."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module, require_tensor
-
-
-def _log_softmax_np(x: np.ndarray, axis: int) -> np.ndarray:
-    """Raw-numpy replica of :func:`F.log_softmax` (same ops, same order)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 class ReLU(Module):
@@ -25,9 +12,6 @@ class ReLU(Module):
 
     def forward(self, x) -> Tensor:
         return require_tensor(x).relu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, 0.0)
 
     def __repr__(self) -> str:
         return "ReLU()"
@@ -39,9 +23,6 @@ class Tanh(Module):
     def forward(self, x) -> Tensor:
         return require_tensor(x).tanh()
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
     def __repr__(self) -> str:
         return "Tanh()"
 
@@ -51,9 +32,6 @@ class Sigmoid(Module):
 
     def forward(self, x) -> Tensor:
         return require_tensor(x).sigmoid()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
 
     def __repr__(self) -> str:
         return "Sigmoid()"
@@ -69,9 +47,6 @@ class Softmax(Module):
     def forward(self, x) -> Tensor:
         return F.softmax(require_tensor(x), axis=self.axis)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(_log_softmax_np(x, self.axis))
-
     def __repr__(self) -> str:
         return f"Softmax(axis={self.axis})"
 
@@ -85,9 +60,6 @@ class LogSoftmax(Module):
 
     def forward(self, x) -> Tensor:
         return F.log_softmax(require_tensor(x), axis=self.axis)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return _log_softmax_np(x, self.axis)
 
     def __repr__(self) -> str:
         return f"LogSoftmax(axis={self.axis})"

@@ -2,66 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.nn.layers.activations import Tanh
+from repro.nn.layers.linear import Linear
 from repro.nn.module import Module
-
-
-def _fused_linear_step(
-    linear: Module, act: str, fresh: bool
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile one Linear (+ optional fused activation) into a step callable.
-
-    When ``fresh`` is False the step owns a shape-keyed output-buffer cache
-    and writes into it with ``out=`` ufunc calls — the fused in-place chain
-    ``matmul → add-bias → tanh/sigmoid`` is bit-identical to the composed
-    out-of-place ops.  When ``fresh`` is True (the step's output can escape
-    to the caller) it always allocates.
-
-    Only ``tanh`` and ``sigmoid`` are fused: an in-place ReLU via masking
-    is *not* bit-identical to ``np.where(x > 0, x, 0.0)`` (negative-zero
-    signs differ), so ReLU stays a separate fresh-allocating step.
-    """
-    cache: dict = {}
-
-    def step(x: np.ndarray) -> np.ndarray:
-        weight = linear.weight.data
-        bias = linear.bias.data if linear.bias is not None else None
-        if x.ndim != 2 or x.shape[1] != weight.shape[1]:
-            # Fall back to the layer's own validation/broadcast handling.
-            out = linear.infer(x)
-            if act == "tanh":
-                out = np.tanh(out, out=out)
-            elif act == "sigmoid":
-                np.negative(out, out=out)
-                np.exp(out, out=out)
-                np.add(out, 1.0, out=out)
-                np.divide(1.0, out, out=out)
-            return out
-        if fresh:
-            out = np.empty((x.shape[0], weight.shape[0]), dtype=np.float64)
-        else:
-            key = x.shape[0]
-            out = cache.get(key)
-            if out is None:
-                out = np.empty((x.shape[0], weight.shape[0]), dtype=np.float64)
-                cache[key] = out
-        np.matmul(x, weight.T, out=out)
-        if bias is not None:
-            np.add(out, bias, out=out)
-        if act == "tanh":
-            np.tanh(out, out=out)
-        elif act == "sigmoid":
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-            np.add(out, 1.0, out=out)
-            np.divide(1.0, out, out=out)
-        return out
-
-    return step
 
 
 class Sequential(Module):
@@ -77,7 +25,6 @@ class Sequential(Module):
                 )
             setattr(self, f"layer{index}", module)
         self._length = len(modules)
-        self._infer_steps: "List[Callable[[np.ndarray], np.ndarray]] | None" = None
 
     def __len__(self) -> int:
         return self._length
@@ -96,66 +43,35 @@ class Sequential(Module):
             x = module(x)
         return x
 
-    def _compile_infer(self) -> "List[Callable[[np.ndarray], np.ndarray]]":
-        """Build the fused step list for :meth:`infer` (compiled once).
+    def infer(
+        self, x: np.ndarray, inputs: Optional[List[np.ndarray]] = None
+    ) -> np.ndarray:
+        """Graph-free forward of a ``Linear``/``Tanh`` net, numpy in and out.
 
-        Fuses ``Linear → Tanh``/``Linear → Sigmoid`` pairs into single
-        in-place steps with cached output buffers.  A fused step's buffer
-        may only be cached if its output cannot escape to the caller: the
-        last step must allocate fresh, and pass-through-capable layers
-        (Dropout returns its input in eval mode, Flatten returns a view)
-        propagate that requirement backwards.  Any other layer allocates a
-        fresh output, so it insulates earlier cached buffers.
+        Runs ``x @ W.T``, ``+= b`` and an in-place ``tanh``: the same ufuncs
+        in the same order as :meth:`forward`, so the output is bit-identical.
+        When ``inputs`` is given, each ``Linear``'s input is appended to it
+        (the observations, then each hidden activation) for a hand-written
+        backward.  The caller's array is never written and the result is
+        always a fresh array.  Any other layer type raises ``TypeError``.
         """
-        from repro.nn.layers.activations import Sigmoid, Tanh
-        from repro.nn.layers.dropout import Dropout
-        from repro.nn.layers.flatten import Flatten
-        from repro.nn.layers.linear import Linear
-
-        layers = list(self)
-        passthrough = (Dropout, Flatten)
-
-        def must_be_fresh(next_index: int) -> bool:
-            return all(isinstance(m, passthrough) for m in layers[next_index:])
-
-        steps: List[Callable[[np.ndarray], np.ndarray]] = []
-        i = 0
-        while i < len(layers):
-            layer = layers[i]
+        owned = False  # whether ``x`` was allocated here
+        for layer in self._modules.values():
             if type(layer) is Linear:
-                act = ""
-                consumed = 1
-                if i + 1 < len(layers):
-                    nxt = type(layers[i + 1])
-                    if nxt is Tanh:
-                        act, consumed = "tanh", 2
-                    elif nxt is Sigmoid:
-                        act, consumed = "sigmoid", 2
-                fresh = must_be_fresh(i + consumed)
-                steps.append(_fused_linear_step(layer, act, fresh))
-                i += consumed
+                if inputs is not None:
+                    inputs.append(x)
+                x = x @ layer.weight.data.T
+                if layer.bias is not None:
+                    x += layer.bias.data
+            elif type(layer) is Tanh:
+                x = np.tanh(x, out=x) if owned else np.tanh(x)
             else:
-                steps.append(layer.infer)
-                i += 1
-        self._infer_steps = steps
-        return steps
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Fused graph-free forward: numpy in, numpy out, bit-identical to
-        :meth:`forward` under ``no_grad``.
-
-        ``Linear → Tanh``/``Linear → Sigmoid`` pairs run as single in-place
-        steps over per-shape cached buffers; every other layer dispatches to
-        its own :meth:`Module.infer`.  The returned array is always freshly
-        allocated (never an internal cache) unless the net is purely
-        identity/view layers.
-        """
-        steps = self._infer_steps
-        if steps is None:
-            steps = self._compile_infer()
-        for step in steps:
-            x = step(x)
-        return x
+                raise TypeError(
+                    f"Sequential.infer runs Linear and Tanh layers only, "
+                    f"got {type(layer).__name__}"
+                )
+            owned = True
+        return x if owned else x.copy()
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(m) for m in self)

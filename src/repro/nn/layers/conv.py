@@ -55,33 +55,6 @@ class Conv2d(Module):
             x, self.weight, self.bias, stride=self.stride, padding=self.padding
         )
 
-    def infer(self, x: "np.ndarray") -> "np.ndarray":
-        """Raw-numpy im2col convolution, bit-identical to :meth:`forward`."""
-        import numpy as np
-
-        from repro.autograd.functional import _im2col_index_arrays
-
-        if x.ndim != 4:
-            raise ValueError(f"conv2d input must be 4-D, got {x.shape}")
-        if x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"channel mismatch: input has {x.shape[1]}, weight expects "
-                f"{self.in_channels}"
-            )
-        n, c, h, w = x.shape
-        kh = kw = self.kernel_size
-        ph = pw = self.padding
-        k, i, j, out_h, out_w = _im2col_index_arrays(
-            c, h, w, (kh, kw), (self.stride, self.stride), (ph, pw)
-        )
-        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-        cols = padded[:, k, i, j]
-        w_mat = self.weight.data.reshape(self.out_channels, c * kh * kw)
-        out = (w_mat @ cols).reshape(n, self.out_channels, out_h, out_w)
-        if self.bias is not None:
-            out = out + self.bias.data.reshape(1, self.out_channels, 1, 1)
-        return out
-
     def __repr__(self) -> str:
         return (
             f"Conv2d({self.in_channels}, {self.out_channels}, "

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module, require_tensor
 from repro.utils.rng import RNGLike, as_generator
@@ -30,18 +28,6 @@ class Dropout(Module):
         keep = 1.0 - self.p
         mask = (self._rng.random(x.shape) < keep) / keep
         return x * Tensor(mask)
-
-    def infer(self, x: "np.ndarray") -> "np.ndarray":
-        """Raw-numpy dropout; consumes the RNG exactly like :meth:`forward`.
-
-        Eval mode returns the input unchanged (no copy), matching the
-        identity semantics of the autograd path.
-        """
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
-        return x * mask
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module, require_tensor
 
@@ -17,10 +15,6 @@ class Flatten(Module):
 
     def forward(self, x) -> Tensor:
         return require_tensor(x).flatten(start_dim=self.start_dim)
-
-    def infer(self, x: "np.ndarray") -> "np.ndarray":
-        """Raw-numpy flatten (returns a view when possible)."""
-        return x.reshape(x.shape[: self.start_dim] + (-1,))
 
     def __repr__(self) -> str:
         return f"Flatten(start_dim={self.start_dim})"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, require_tensor
@@ -49,17 +47,6 @@ class Linear(Module):
         out = x @ self.weight.T
         if self.bias is not None:
             out = out + self.bias
-        return out
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Raw-numpy affine map, bit-identical to :meth:`forward`."""
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"Linear expected last dim {self.in_features}, got {x.shape}"
-            )
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out += self.bias.data  # out is fresh from the matmul
         return out
 
     def __repr__(self) -> str:

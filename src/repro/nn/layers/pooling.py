@@ -22,26 +22,6 @@ class MaxPool2d(Module):
     def forward(self, x) -> Tensor:
         return F.max_pool2d(require_tensor(x), self.kernel_size, self.stride)
 
-    def infer(self, x: "np.ndarray") -> "np.ndarray":
-        """Raw-numpy max pooling, bit-identical to :meth:`forward`."""
-        import numpy as np
-
-        from repro.autograd.functional import conv_output_size
-
-        if x.ndim != 4:
-            raise ValueError(f"max_pool2d expects (n, c, h, w), got {x.shape}")
-        kh = kw = self.kernel_size
-        sh = sw = self.stride
-        n, c, h, w = x.shape
-        out_h = conv_output_size(h, kh, sh, 0)
-        out_w = conv_output_size(w, kw, sw, 0)
-        planes = np.empty((kh * kw, n, c, out_h, out_w), dtype=np.float64)
-        for idx in range(kh * kw):
-            di, dj = divmod(idx, kw)
-            planes[idx] = x[:, :, di : di + sh * out_h : sh, dj : dj + sw * out_w : sw]
-        arg = planes.argmax(axis=0)
-        return np.take_along_axis(planes, arg[None], axis=0)[0]
-
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel_size={self.kernel_size}, stride={self.stride})"
 
@@ -57,23 +37,6 @@ class AvgPool2d(Module):
 
     def forward(self, x) -> Tensor:
         return F.avg_pool2d(require_tensor(x), self.kernel_size, self.stride)
-
-    def infer(self, x: "np.ndarray") -> "np.ndarray":
-        """Raw-numpy average pooling (same slice-sum order as forward)."""
-        from repro.autograd.functional import conv_output_size
-
-        if x.ndim != 4:
-            raise ValueError(f"avg_pool2d expects (n, c, h, w), got {x.shape}")
-        kh = kw = self.kernel_size
-        sh = sw = self.stride
-        out_h = conv_output_size(x.shape[2], kh, sh, 0)
-        out_w = conv_output_size(x.shape[3], kw, sw, 0)
-        total = None
-        for di in range(kh):
-            for dj in range(kw):
-                piece = x[:, :, di : di + sh * out_h : sh, dj : dj + sw * out_w : sw]
-                total = piece if total is None else total + piece
-        return total * (1.0 / (kh * kw))
 
     def __repr__(self) -> str:
         return f"AvgPool2d(kernel_size={self.kernel_size}, stride={self.stride})"

@@ -56,26 +56,6 @@ class Module:
         with _obs.span(self._span_name):
             return self.forward(*inputs)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free inference: numpy in, numpy out, bit-identical to
-        :meth:`forward`.
-
-        Layers override this with raw-numpy implementations that skip
-        Tensor construction entirely; this generic fallback runs
-        :meth:`forward` under ``no_grad`` so *any* module participates in
-        the fast path (see :meth:`Sequential.infer
-        <repro.nn.layers.container.Sequential.infer>` for the fused,
-        buffer-reusing driver).
-
-        The returned array may be (a view of) the input for identity
-        layers — treat it as read-only if the input is still needed.
-        """
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            out = self.forward(x)
-        return out.data if isinstance(out, Tensor) else np.asarray(out)
-
     # ------------------------------------------------------------------ #
     # parameter iteration
     # ------------------------------------------------------------------ #

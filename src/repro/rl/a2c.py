@@ -16,6 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.nn.losses import MSELoss
 from repro.rl.buffer import Batch
 from repro.rl.ppo import PPOAgent, PPOConfig, _clip_gradients
 from repro.utils.rng import RNGLike
@@ -35,6 +36,7 @@ class A2CAgent(PPOAgent):
         # A2C is strictly on-policy: one pass over the batch per update.
         config = replace(config, update_epochs=1)
         super().__init__(obs_dim, act_dim, config=config, rng=rng)
+        self._mse = MSELoss()
 
     def _update_minibatch(self, mb: Batch) -> Dict[str, float]:
         cfg = self.config

@@ -15,7 +15,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro import obs as _obs
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.module import Module, require_tensor
@@ -37,20 +36,6 @@ def _mlp(sizes: Sequence[int], rng: RNGLike) -> Sequential:
         if index < len(sizes) - 2:
             layers.append(Tanh())
     return Sequential(*layers)
-
-
-def _fast_forward(net: Sequential, x: np.ndarray) -> np.ndarray:
-    """Raw-numpy inference pass through any :class:`Sequential`.
-
-    Delegates to the net's compiled :meth:`Sequential.infer
-    <repro.nn.layers.container.Sequential.infer>` fast path — fused
-    ``Linear→Tanh`` steps over cached buffers, bit-identical to the
-    autograd forward.  Works for every layer type (anything without a
-    dedicated raw-numpy ``infer`` falls back to a graph-free generic
-    path), so heterogeneous nets no longer raise ``TypeError`` here.
-    """
-    with _obs.span("nn.fast_forward"):
-        return net.infer(x)
 
 
 class GaussianPolicy(Module):
@@ -118,7 +103,7 @@ class GaussianPolicy(Module):
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim == 1:
             obs = obs.reshape(1, -1)
-        mean = _fast_forward(self.mean_net, obs)[0]
+        mean = self.mean_net.infer(obs)[0]
         log_std, std = self._std_terms()
         if deterministic:
             action = mean.copy()
@@ -144,7 +129,7 @@ class GaussianPolicy(Module):
             raise ValueError(
                 f"expected obs of shape (M, {self.obs_dim}), got {obs.shape}"
             )
-        mean = _fast_forward(self.mean_net, obs)
+        mean = self.mean_net.infer(obs)
         log_std, std = self._std_terms()
         if deterministic:
             actions = mean.copy()
@@ -207,7 +192,7 @@ class ValueNetwork(Module):
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim == 1:
             obs = obs.reshape(1, -1)
-        return float(_fast_forward(self.net, obs)[0, 0])
+        return float(self.net.infer(obs)[0, 0])
 
     def values(self, obs: np.ndarray) -> np.ndarray:
         """Values for an ``(M, obs_dim)`` batch (raw-numpy fast path)."""
@@ -216,4 +201,4 @@ class ValueNetwork(Module):
             raise ValueError(
                 f"expected obs of shape (M, {self.obs_dim}), got {obs.shape}"
             )
-        return _fast_forward(self.net, obs).reshape(-1)
+        return self.net.infer(obs).reshape(-1)

@@ -23,7 +23,6 @@ from repro.rl.policy import (
     ValueNetwork,
 )
 from repro.rl.running_stat import RunningMeanStd
-from repro.nn.losses import MSELoss
 from repro.nn.optim import Adam, ExponentialLR
 from repro.utils.rng import RNGLike, as_generator, spawn_generators
 from repro.utils.validation import check_in_range, check_positive
@@ -108,28 +107,11 @@ def _clip_gradients(parameters, max_norm: float) -> float:
     return total
 
 
-def _mlp_forward(linears, x: np.ndarray):
-    """Forward through a Tanh MLP given its ``Linear`` layers in order.
-
-    Returns ``(inputs, out)``: ``inputs[k]`` is layer ``k``'s input — the
-    observations, then each tanh output — as :func:`_mlp_backward` needs.
-    The ops are :meth:`Linear.forward`'s, so the output is bit-identical.
-    """
-    inputs = []
-    last = len(linears) - 1
-    for index, linear in enumerate(linears):
-        inputs.append(x)
-        x = x @ linear.weight.data.T
-        x += linear.bias.data
-        if index < last:
-            x = np.tanh(x, out=x)
-    return inputs, x
-
-
 def _mlp_backward(linears, inputs, grad: np.ndarray) -> None:
     """Set every ``Linear`` weight and bias ``.grad`` for output gradient ``grad``.
 
-    Repeats the autograd closures of ``x @ W.T + b`` and ``tanh``; the
+    ``inputs`` holds each layer's input as :meth:`Sequential.infer` records
+    it. Repeats the autograd closures of ``x @ W.T + b`` and ``tanh``; the
     gradient of the network input is never formed.
     """
     for index in range(len(linears) - 1, -1, -1):
@@ -175,7 +157,6 @@ class PPOAgent:
         )
         self.obs_stat = RunningMeanStd((obs_dim,)) if cfg.normalize_obs else None
         self._shuffle_rng = shuffle_rng
-        self._mse = MSELoss()
         self.episodes_seen = 0
         # Per-replica staging buffers for vectorized rollouts: replicas
         # accumulate here and flush whole trajectories into the buffer at
@@ -407,11 +388,8 @@ class PPOAgent:
             result = {key: stats[key] / n for key in keys}
             result["actor_lr"] = self.actor_opt.lr
             result["batch_size"] = float(len(batch))
-            # Graph-free and cache-free: Sequential.infer would leave
-            # compiled closures on the net, and train_parallel pickles it.
-            _, values = _mlp_forward(list(self.value_net.net)[::2], batch.obs)
             result["explained_variance"] = _explained_variance(
-                values.reshape(-1), batch.returns
+                self.value_net.values(batch.obs), batch.returns
             )
         if _obs.enabled():
             _obs.counter("ppo.updates").inc()
@@ -439,7 +417,8 @@ class PPOAgent:
         # Actor: PPO clipped surrogate + entropy bonus.
         policy = self.policy
         linears = list(policy.mean_net)[::2]
-        inputs, mean = _mlp_forward(linears, mb.obs)
+        inputs = []
+        mean = policy.mean_net.infer(mb.obs, inputs)
         raw_log_std = policy.log_std.data
         in_band = (raw_log_std >= _LOG_STD_MIN) & (raw_log_std <= _LOG_STD_MAX)
         log_std = np.clip(raw_log_std, _LOG_STD_MIN, _LOG_STD_MAX)
@@ -472,7 +451,8 @@ class PPOAgent:
 
         # Critic: TD(λ)-return regression (Algorithm 1 lines 19-20).
         linears = list(self.value_net.net)[::2]
-        inputs, values = _mlp_forward(linears, mb.obs)
+        inputs = []
+        values = self.value_net.net.infer(mb.obs, inputs)
         err = values.reshape(-1) - mb.returns
         critic_loss = (err * err).sum() * (1.0 / n)
         g_err = np.full(n, 1.0 / n) * err

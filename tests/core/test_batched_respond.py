@@ -6,8 +6,8 @@ immutable population and the SoA best response is pure elementwise math
 (row-for-row bit-identical to M separate calls).  Eval-mode Chiron skips
 both critic forwards; transitions proposed that way carry no values and
 must be rejected loudly if someone later tries to train on them.  A whole
-seeded vectorized rollout must not depend on whether the policy runs the
-fused inference kernels or the generic autograd forward.
+seeded vectorized rollout must not depend on whether the policy and value
+nets run the graph-free ``Sequential.infer`` loop or the autograd forward.
 """
 
 import numpy as np
@@ -21,9 +21,10 @@ from repro.core import (
 )
 from repro.core.mechanism import Observation
 from repro.experiments.runner import run_episodes_vectorized
-from repro.nn.module import Module
+from repro.nn.layers import Sequential
 from repro.rl import PPOConfig
-from repro.rl import policy as policy_module
+
+from tests.rl.ppo_reference import reference_forward
 
 
 def make_env(**kwargs):
@@ -168,19 +169,19 @@ def seeded_rollout(num_envs=4, episodes=8):
 
 class TestFusedRolloutIdentity:
     def test_fused_rerun_and_autograd_forward_agree(self, monkeypatch):
-        fused = seeded_rollout()
+        kernel = seeded_rollout()
         rerun = seeded_rollout()
         calls = []
 
         def autograd_forward(net, x):
             calls.append(1)
-            return Module.infer(net, x)
+            return reference_forward(net, x)
 
-        # Every policy and value forward now bypasses the fused
-        # Sequential.infer kernels for the generic graph-free forward.
-        monkeypatch.setattr(policy_module, "_fast_forward", autograd_forward)
+        # Every policy and value forward now builds the autograd forward
+        # instead of running the Sequential.infer loop.
+        monkeypatch.setattr(Sequential, "infer", autograd_forward)
         autograd = seeded_rollout()
         assert calls
-        assert len(fused) == 8
-        assert fused == rerun
-        assert fused == autograd
+        assert len(kernel) == 8
+        assert kernel == rerun
+        assert kernel == autograd

@@ -79,6 +79,18 @@ class TestWorkersInvariance:
         assert len({e.final_accuracy for e in a}) > 1
 
 
+class TestTrainedInProcess:
+    def test_seeded_eval_after_training(self):
+        # Training acts through the policy and value nets, then seeded
+        # evaluation snapshots (env, mechanism) for every episode: the
+        # trained mechanism must pickle.
+        env, chiron = _env_and_mechanism(name="chiron")
+        train_mechanism(env, chiron, episodes=2)
+        results = evaluate_mechanism(env, chiron, 2, seed=0)
+        assert len(results) == 2
+        assert evaluate_mechanism(env, chiron, 2, seed=0) == results
+
+
 class TestSeedDerivationRegression:
     def test_new_derivation_is_spawn_based_not_uint32_words(self):
         # Documents the bugfix: the old uint32 words are NOT what episodes

@@ -1,9 +1,12 @@
-"""The PPO minibatch losses and step built on autograd: the reference.
+"""The PPO forward, minibatch losses and step built on autograd: the reference.
 
+``Sequential.infer`` runs the policy and value nets without a graph, and
 ``PPOAgent._update_minibatch`` computes these losses and their gradients
 by hand.  The gradcheck in ``test_ppo.py`` checks this graph against
-finite differences, and ``test_fused_update.py`` requires the hand-written
-step to reproduce :func:`reference_step` bit for bit.
+finite differences; ``test_fused_update.py`` requires the hand-written
+step to reproduce :func:`reference_step` bit for bit, and
+``tests/nn/test_sequential_infer.py`` does the same for
+:func:`reference_forward`.
 """
 
 from __future__ import annotations
@@ -12,10 +15,17 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
+from repro.nn.layers import Sequential
 from repro.nn.losses import MSELoss
 from repro.rl.buffer import Batch
 from repro.rl.ppo import PPOAgent, _clip_gradients
+
+
+def reference_forward(net: Sequential, x: np.ndarray) -> np.ndarray:
+    """``net``'s autograd forward as a raw array, with no graph recorded."""
+    with no_grad():
+        return net(Tensor(x)).data
 
 
 def actor_loss(agent: PPOAgent, mb: Batch) -> Tuple[Tensor, Tensor, Tensor, Tensor]:

@@ -1,7 +1,9 @@
 """PPO agent: mechanics and learning."""
 
 import builtins
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -86,6 +88,42 @@ class TestMechanics:
         a1, _, _ = agent.act(obs, deterministic=True)
         a2, _, _ = agent.act(obs, deterministic=True)
         np.testing.assert_allclose(a1, a2)
+
+
+class TestCopyAfterActing:
+    """An agent that has acted copies and pickles with its own weights.
+
+    Training snapshots ``(env, mechanism)`` for seeded evaluation and for
+    every parallel-training round, so a net must hold no state beyond its
+    modules.
+    """
+
+    def _acted(self):
+        agent = PPOAgent(6, 2, rng=0)
+        obs = np.random.default_rng(3).normal(size=6)
+        agent.act(obs)
+        return agent, obs
+
+    def test_pickle_round_trip(self):
+        agent, obs = self._acted()
+        clone = pickle.loads(pickle.dumps(agent))
+        action, _, value = clone.act(obs, deterministic=True)
+        expected, _, expected_value = agent.act(obs, deterministic=True)
+        assert action.tobytes() == expected.tobytes()
+        assert value == expected_value
+
+    def test_deepcopy_acts_with_its_own_weights(self):
+        agent, obs = self._acted()
+        expected, _, expected_value = agent.act(obs, deterministic=True)
+        clone = copy.deepcopy(agent)
+        for param in [*clone.policy.parameters(), *clone.value_net.parameters()]:
+            param.data[...] = 0.0
+        action, _, value = clone.act(obs, deterministic=True)
+        np.testing.assert_array_equal(action, np.zeros(2))
+        assert value == 0.0
+        action, _, value = agent.act(obs, deterministic=True)
+        assert action.tobytes() == expected.tobytes()
+        assert value == expected_value
 
 
 class TestCollectedPayload:
