@@ -1,9 +1,13 @@
 """Composite and image-specific differentiable functions.
 
 Everything here consumes and returns :class:`~repro.autograd.tensor.Tensor`
-objects.  Convolution is implemented with the classic ``im2col`` lowering
-(turn sliding windows into a matrix product), max pooling with a kernel-
-position stack + argmax scatter, both with exact custom backward passes.
+objects.  The image kernels visit one strided slice per kernel offset
+``(di, dj)``: ``im2col`` copies each offset's window elements into one
+column block (convolution is then a matrix product) and its backward adds
+each offset's gradient back into the same slice; ``max_pool2d`` takes the
+argmax over the offsets' slices and its backward adds each window's
+gradient into the slice of its argmax offset.  Every input element sums
+its gradient terms from ``+0.0`` in ``(di, dj)`` order.
 """
 
 from __future__ import annotations
@@ -17,15 +21,27 @@ from repro.autograd.tensor import Tensor
 IntPair = Union[int, Tuple[int, int]]
 
 
-def _pair(value: IntPair, name: str) -> Tuple[int, int]:
-    if isinstance(value, int):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-        return (value, value)
-    pair = tuple(int(v) for v in value)
-    if len(pair) != 2 or any(v < 0 for v in pair):
-        raise ValueError(f"{name} must be a non-negative int or pair, got {value}")
+def _pair(value: IntPair, name: str, minimum: int = 1) -> Tuple[int, int]:
+    """``value`` as an ``(h, w)`` pair, each entry at least ``minimum``."""
+    pair = (value, value) if isinstance(value, int) else tuple(int(v) for v in value)
+    if len(pair) != 2 or any(v < minimum for v in pair):
+        raise ValueError(
+            f"{name} must be an int >= {minimum} or a pair of them, got {value}"
+        )
     return pair  # type: ignore[return-value]
+
+
+def _window(
+    di: int, dj: int, stride: Tuple[int, int], out_h: int, out_w: int
+) -> Tuple[slice, slice, slice, slice]:
+    """Index of kernel offset ``(di, dj)``'s element in every output window."""
+    sh, sw = stride
+    return (
+        slice(None),
+        slice(None),
+        slice(di, di + sh * out_h, sh),
+        slice(dj, dj + sw * out_w, sw),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -91,7 +107,7 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# im2col convolution
+# im2col convolution and pooling
 # --------------------------------------------------------------------------- #
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Output extent of a conv/pool along one spatial axis."""
@@ -104,31 +120,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col_index_arrays(
-    channels: int,
-    height: int,
-    width: int,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(height, kh, sh, ph)
-    out_w = conv_output_size(width, kw, sw, pw)
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = sh * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = sw * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
 def im2col(
     x: Tensor,
     kernel: IntPair,
@@ -138,33 +129,39 @@ def im2col(
     """Lower sliding windows of ``x`` ``(n, c, h, w)`` into columns.
 
     Returns a tensor of shape ``(n, c*kh*kw, out_h*out_w)``; the backward
-    pass (``col2im``) scatters gradients back, summing overlaps.
+    pass (``col2im``) adds gradients back, summing overlaps.
     """
     if x.ndim != 4:
         raise ValueError(f"im2col expects (n, c, h, w), got {x.shape}")
-    kernel = _pair(kernel, "kernel")
+    kh, kw = _pair(kernel, "kernel")
     stride = _pair(stride, "stride")
-    padding = _pair(padding, "padding")
+    ph, pw = _pair(padding, "padding", 0)
     n, c, h, w = x.shape
-    ph, pw = padding
-    k, i, j, out_h, out_w = _im2col_index_arrays(c, h, w, kernel, stride, padding)
+    out_h = conv_output_size(h, kh, stride[0], ph)
+    out_w = conv_output_size(w, kw, stride[1], pw)
 
-    padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-    cols = padded[:, k, i, j]
+    padded = x.data
+    if ph or pw:
+        padded = np.pad(padded, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
+    for di in range(kh):
+        for dj in range(kw):
+            cols[:, :, di, dj] = padded[_window(di, dj, stride, out_h, out_w)]
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
+        grad = grad.reshape(n, c, kh, kw, out_h, out_w)
         grad_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-        np.add.at(grad_padded, (slice(None), k, i, j), grad)
-        if ph or pw:
-            grad_x = grad_padded[:, :, ph : ph + h, pw : pw + w]
-        else:
-            grad_x = grad_padded
+        for di in range(kh):
+            for dj in range(kw):
+                window = grad_padded[_window(di, dj, stride, out_h, out_w)]
+                window += grad[:, :, di, dj]
         # grad_padded is freshly allocated here, so the (view of the)
-        # scattered gradient can be adopted without a defensive copy.
-        x._accumulate(grad_x, owned=True)
+        # summed gradient can be adopted without a defensive copy.
+        x._accumulate(grad_padded[:, :, ph : ph + h, pw : pw + w], owned=True)
 
+    cols = cols.reshape(n, c * kh * kw, out_h * out_w)
     return Tensor._make(cols, (x,), "im2col", backward)
 
 
@@ -189,7 +186,7 @@ def conv2d(
             f"channel mismatch: input has {x.shape[1]}, weight expects {weight.shape[1]}"
         )
     stride_p = _pair(stride, "stride")
-    padding_p = _pair(padding, "padding")
+    padding_p = _pair(padding, "padding", 0)
     out_c, in_c, kh, kw = weight.shape
     n = x.shape[0]
     out_h = conv_output_size(x.shape[2], kh, stride_p[0], padding_p[0])
@@ -215,20 +212,18 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
     if x.ndim != 4:
         raise ValueError(f"max_pool2d expects (n, c, h, w), got {x.shape}")
     kh, kw = _pair(kernel, "kernel")
-    sh, sw = _pair(stride if stride is not None else (kh, kw), "stride")
-    if sh == 0 or sw == 0:
-        raise ValueError("stride must be positive")
+    stride = _pair(stride if stride is not None else (kh, kw), "stride")
     n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, sh, 0)
-    out_w = conv_output_size(w, kw, sw, 0)
+    out_h = conv_output_size(h, kh, stride[0], 0)
+    out_w = conv_output_size(w, kw, stride[1], 0)
+    windows = [
+        _window(di, dj, stride, out_h, out_w) for di in range(kh) for dj in range(kw)
+    ]
 
     # Stack each kernel offset as a candidate plane: (kh*kw, n, c, out_h, out_w)
     planes = np.empty((kh * kw, n, c, out_h, out_w), dtype=np.float64)
-    for idx in range(kh * kw):
-        di, dj = divmod(idx, kw)
-        planes[idx] = x.data[
-            :, :, di : di + sh * out_h : sh, dj : dj + sw * out_w : sw
-        ]
+    for idx, window in enumerate(windows):
+        planes[idx] = x.data[window]
     arg = planes.argmax(axis=0)  # first max wins, matching torch
     out_data = np.take_along_axis(planes, arg[None], axis=0)[0]
 
@@ -236,15 +231,9 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
         if not x.requires_grad:
             return
         grad_x = np.zeros_like(x.data)
-        for idx in range(kh * kw):
-            di, dj = divmod(idx, kw)
-            mask = arg == idx
-            if not mask.any():
-                continue
-            n_i, c_i, oh_i, ow_i = np.nonzero(mask)
-            rows = oh_i * sh + di
-            cols_ = ow_i * sw + dj
-            np.add.at(grad_x, (n_i, c_i, rows, cols_), grad[mask])
+        for idx, window in enumerate(windows):
+            view = grad_x[window]
+            np.add(view, grad, out=view, where=arg == idx)
         x._accumulate(grad_x, owned=True)
 
     return Tensor._make(out_data, (x,), "max_pool2d", backward)
@@ -255,13 +244,13 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
     if x.ndim != 4:
         raise ValueError(f"avg_pool2d expects (n, c, h, w), got {x.shape}")
     kh, kw = _pair(kernel, "kernel")
-    sh, sw = _pair(stride if stride is not None else (kh, kw), "stride")
-    out_h = conv_output_size(x.shape[2], kh, sh, 0)
-    out_w = conv_output_size(x.shape[3], kw, sw, 0)
+    stride = _pair(stride if stride is not None else (kh, kw), "stride")
+    out_h = conv_output_size(x.shape[2], kh, stride[0], 0)
+    out_w = conv_output_size(x.shape[3], kw, stride[1], 0)
     total: Optional[Tensor] = None
     for di in range(kh):
         for dj in range(kw):
-            piece = x[:, :, di : di + sh * out_h : sh, dj : dj + sw * out_w : sw]
+            piece = x[_window(di, dj, stride, out_h, out_w)]
             total = piece if total is None else total + piece
     assert total is not None
     return total * (1.0 / (kh * kw))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, functional as F, gradcheck
+from repro.nn.layers import AvgPool2d
 
 
 def _as_pair(value):
@@ -268,3 +269,42 @@ class TestPooling:
             F.max_pool2d(Tensor(np.zeros((2, 5, 5))), 2)
         with pytest.raises(ValueError):
             F.avg_pool2d(Tensor(np.zeros((2, 5, 5))), 2)
+
+
+class TestZeroKernelOrStride:
+    """A kernel or stride below 1 is a ValueError naming the argument."""
+
+    IMAGE = np.zeros((1, 1, 5, 5))
+
+    def test_conv2d_zero_stride(self):
+        weight = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match="stride"):
+            F.conv2d(Tensor(self.IMAGE), weight, stride=0)
+
+    def test_im2col_zero_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            F.im2col(Tensor(self.IMAGE), 3, stride=0)
+
+    def test_im2col_zero_kernel(self):
+        # Used to return an empty (1, 0, 36) column matrix.
+        with pytest.raises(ValueError, match="kernel"):
+            F.im2col(Tensor(self.IMAGE), 0)
+
+    def test_avg_pool2d_zero_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            F.avg_pool2d(Tensor(self.IMAGE), 2, stride=0)
+
+    def test_avg_pool_layer_zero_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            AvgPool2d(2, stride=0)(Tensor(self.IMAGE))
+
+    def test_max_pool2d_zero_kernel(self):
+        # Used to blame the stride, which defaults to the kernel.
+        with pytest.raises(ValueError, match="kernel"):
+            F.max_pool2d(Tensor(self.IMAGE), 0)
+
+    def test_zero_in_a_pair_and_negative_padding(self):
+        with pytest.raises(ValueError, match="stride"):
+            F.max_pool2d(Tensor(self.IMAGE), 2, stride=(1, 0))
+        with pytest.raises(ValueError, match="padding"):
+            F.im2col(Tensor(self.IMAGE), 3, padding=-1)

@@ -1,8 +1,10 @@
-"""A fleet of one node (N=1), a degenerate edge of the paper's market.
+"""Degenerate edges of the paper's market: one node, and a budget below one payment.
 
-With a single node the inner agent's allocation simplex has one vertex and
-every round either recruits that node or nobody.  Each mechanism must
-still train and evaluate with every paper invariant holding per round.
+With a single node (N=1) the inner agent's allocation simplex has one
+vertex and every round either recruits that node or nobody.  With a budget
+below one round's payment no round can be paid for, so every episode ends
+on its first round having kept, wasted and spent nothing.  Each mechanism
+must still train and evaluate with every paper invariant holding per round.
 """
 
 import numpy as np
@@ -13,11 +15,13 @@ from repro.experiments.mechanisms import make_mechanism
 from repro.experiments.runner import evaluate_mechanism, train_mechanism
 from repro.testing.invariants import InvariantAuditor, auditing
 
+MECHANISMS = ["chiron", "drl_single", "greedy"]
 
-@pytest.mark.parametrize("name", ["chiron", "drl_single", "greedy"])
-def test_trains_and_evaluates_under_audit(name):
+
+def _train_and_evaluate_under_audit(name, n_nodes, budget):
+    """3 training and 2 evaluation episodes; returns them and the audited rounds."""
     build = build_environment(
-        task_name="mnist", n_nodes=1, budget=20.0, seed=0, max_rounds=150
+        task_name="mnist", n_nodes=n_nodes, budget=budget, seed=0, max_rounds=150
     )
     env = InvariantAuditor(build.env)
     mechanism = make_mechanism(name, env, rng=np.random.default_rng(1))
@@ -27,5 +31,23 @@ def test_trains_and_evaluates_under_audit(name):
         results = evaluate_mechanism(env, mechanism, episodes=2)
     assert len(history) == 3
     assert len(results) == 2
+    return list(history.episodes) + list(results), trained, env.rounds_audited
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_trains_and_evaluates_under_audit(name):
+    _, trained, audited = _train_and_evaluate_under_audit(name, n_nodes=1, budget=20.0)
     assert trained > 0
-    assert env.rounds_audited > trained
+    assert audited > trained
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_budget_below_one_payment_ends_each_episode_on_its_first_round(name):
+    episodes, trained, audited = _train_and_evaluate_under_audit(
+        name, n_nodes=5, budget=1e-3
+    )
+    assert (trained, audited) == (3, 5)  # one audited round per episode
+    for episode in episodes:
+        assert episode.rounds == 0
+        assert episode.wasted_rounds == 0
+        assert episode.budget_spent == 0.0
