@@ -4,10 +4,12 @@ Everything here consumes and returns :class:`~repro.autograd.tensor.Tensor`
 objects.  The image kernels visit one strided slice per kernel offset
 ``(di, dj)``: ``im2col`` copies each offset's window elements into one
 column block (convolution is then a matrix product) and its backward adds
-each offset's gradient back into the same slice; ``max_pool2d`` takes the
-argmax over the offsets' slices and its backward adds each window's
-gradient into the slice of its argmax offset.  Every input element sums
-its gradient terms from ``+0.0`` in ``(di, dj)`` order.
+each offset's gradient back into the same slice.  ``max_pool2d`` keeps a
+running first maximum over the offsets' slices, updating the best value
+and its offset by bit select under int64 words of all ones, so no
+data-dependent mask picks a branch; its backward adds, per offset, the
+gradient where that offset won and ``+0.0`` elsewhere.  Every input
+element sums its gradient terms from ``+0.0`` in ``(di, dj)`` order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ def _window(
         slice(di, di + sh * out_h, sh),
         slice(dj, dj + sw * out_w, sw),
     )
+
+
+def _words(mask: np.ndarray) -> np.ndarray:
+    """``mask`` as int64 words: all ones where it holds, zero elsewhere."""
+    words = mask.astype(np.int64)
+    np.negative(words, out=words)
+    return words
 
 
 # --------------------------------------------------------------------------- #
@@ -192,9 +201,11 @@ def conv2d(
     out_h = conv_output_size(x.shape[2], kh, stride_p[0], padding_p[0])
     out_w = conv_output_size(x.shape[3], kw, stride_p[1], padding_p[1])
 
-    cols = im2col(x, (kh, kw), stride_p, padding_p)  # (n, c*kh*kw, L)
     w_mat = weight.reshape(out_c, in_c * kh * kw)  # (c_out, c*kh*kw)
-    out = w_mat @ cols  # broadcasting matmul -> (n, c_out, L)
+    # Broadcasting matmul over the (n, c*kh*kw, L) columns -> (n, c_out, L).
+    # No local holds the columns, so without a graph they are freed before
+    # the bias add allocates the output.
+    out = w_mat @ im2col(x, (kh, kw), stride_p, padding_p)
     out = out.reshape(n, out_c, out_h, out_w)
     if bias is not None:
         if bias.shape != (out_c,):
@@ -206,34 +217,45 @@ def conv2d(
 def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> Tensor:
     """Max pooling over non-overlapping or strided windows.
 
-    Gradient is routed to the (first) argmax element of each window, the
-    same tie-break PyTorch uses.
+    Gradient is routed to the first maximum of each window, the same
+    tie-break PyTorch uses; a NaN counts as the maximum and the first NaN
+    wins, as in numpy's arg-max.
     """
     if x.ndim != 4:
         raise ValueError(f"max_pool2d expects (n, c, h, w), got {x.shape}")
     kh, kw = _pair(kernel, "kernel")
     stride = _pair(stride if stride is not None else (kh, kw), "stride")
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, stride[0], 0)
-    out_w = conv_output_size(w, kw, stride[1], 0)
+    out_h = conv_output_size(x.shape[2], kh, stride[0], 0)
+    out_w = conv_output_size(x.shape[3], kw, stride[1], 0)
     windows = [
         _window(di, dj, stride, out_h, out_w) for di in range(kh) for dj in range(kw)
     ]
 
-    # Stack each kernel offset as a candidate plane: (kh*kw, n, c, out_h, out_w)
-    planes = np.empty((kh * kw, n, c, out_h, out_w), dtype=np.float64)
-    for idx, window in enumerate(windows):
-        planes[idx] = x.data[window]
-    arg = planes.argmax(axis=0)  # first max wins, matching torch
-    out_data = np.take_along_axis(planes, arg[None], axis=0)[0]
+    # Running first maximum: a later offset takes over where it is greater,
+    # or NaN while the best so far is not.  The copy keeps a 1x1 stride-1
+    # pool from writing into x.
+    out_data = x.data[windows[0]].copy()
+    best_bits = out_data.view(np.int64)
+    arg = np.zeros(out_data.shape, dtype=np.int64)
+    for idx in range(1, len(windows)):
+        cand = x.data[windows[idx]]
+        words = _words(~(cand <= out_data) & (out_data == out_data))
+        best_bits ^= (best_bits ^ cand.view(np.int64)) & words
+        arg += words & (idx - arg)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
+        grad_bits = grad.view(np.int64)
         grad_x = np.zeros_like(x.data)
         for idx, window in enumerate(windows):
+            # The gradient where this offset won, +0.0 elsewhere: a sum
+            # that starts at +0.0 never holds -0.0, so the +0.0 adds
+            # change no value.
+            words = _words(arg == idx)
+            words &= grad_bits
             view = grad_x[window]
-            np.add(view, grad, out=view, where=arg == idx)
+            view += words.view(np.float64)
         x._accumulate(grad_x, owned=True)
 
     return Tensor._make(out_data, (x,), "max_pool2d", backward)

@@ -372,7 +372,10 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0)
+        # fmax maps x <= 0 and NaN to a zero, which is -0.0 for a -0.0
+        # input on numpy's scalar path; adding +0.0 makes every zero +0.0.
+        out_data = np.fmax(self.data, 0.0)
+        out_data += 0.0
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -8,7 +8,7 @@ from repro.nn import init
 from repro.nn.module import Module, require_tensor
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RNGLike, as_generator
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_int, check_positive
 
 
 class Conv2d(Module):
@@ -27,15 +27,12 @@ class Conv2d(Module):
         super().__init__()
         check_positive("in_channels", in_channels)
         check_positive("out_channels", out_channels)
-        check_positive("kernel_size", kernel_size)
-        check_positive("stride", stride)
-        check_positive("padding", padding, strict=False)
         gen = as_generator(rng)
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = int(padding)
+        self.kernel_size = check_int("kernel_size", kernel_size, 1)
+        self.stride = check_int("stride", stride, 1)
+        self.padding = check_int("padding", padding, 0)
         weight_shape = (
             self.out_channels,
             self.in_channels,

@@ -7,7 +7,7 @@ from typing import Optional
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module, require_tensor
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_int
 
 
 class MaxPool2d(Module):
@@ -15,9 +15,10 @@ class MaxPool2d(Module):
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
-        check_positive("kernel_size", kernel_size)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else self.kernel_size
+        self.kernel_size = check_int("kernel_size", kernel_size, 1)
+        self.stride = (
+            check_int("stride", stride, 1) if stride is not None else self.kernel_size
+        )
 
     def forward(self, x) -> Tensor:
         return F.max_pool2d(require_tensor(x), self.kernel_size, self.stride)
@@ -31,9 +32,10 @@ class AvgPool2d(Module):
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
-        check_positive("kernel_size", kernel_size)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else self.kernel_size
+        self.kernel_size = check_int("kernel_size", kernel_size, 1)
+        self.stride = (
+            check_int("stride", stride, 1) if stride is not None else self.kernel_size
+        )
 
     def forward(self, x) -> Tensor:
         return F.avg_pool2d(require_tensor(x), self.kernel_size, self.stride)

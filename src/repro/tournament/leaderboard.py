@@ -4,9 +4,9 @@ A *cell* is one settled sweep item (mechanism × population × budget ×
 fault profile × seed); the leaderboard aggregates every cell's evaluation
 episodes per mechanism:
 
-* **mean accuracy** — over all evaluation episodes, with a 95% CI from
-  the per-seed means (seeds are the independent replicates; episodes
-  within a seed share an environment draw);
+* **mean accuracy** — over all evaluation episodes, with a 95% Student-t
+  CI from the per-seed means (seeds are the independent replicates;
+  episodes within a seed share an environment draw);
 * **budget efficiency** — pooled accuracy per pooled *fraction of budget
   spent* (``mean(accuracy) / mean(spent/η)``), comparable across fleets
   whose absolute budgets differ by orders of magnitude.  The pooled ratio
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy import stats
 
 #: Bump when the leaderboard payload gains/loses fields.
 LEADERBOARD_SCHEMA_VERSION = 1
@@ -104,11 +105,12 @@ class Leaderboard:
 
 
 def _ci95(per_seed_means: Sequence[float]) -> float:
-    """Half-width of the 95% normal CI over independent seed means."""
+    """Half-width of the 95% Student-t CI over independent seed means."""
     values = np.asarray(list(per_seed_means), dtype=np.float64)
     if values.size < 2:
         return 0.0
-    return float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
+    quantile = stats.t.ppf(0.975, values.size - 1)
+    return float(quantile * values.std(ddof=1) / np.sqrt(values.size))
 
 
 def build_leaderboard(

@@ -29,6 +29,19 @@ def check_positive(name: str, value: Number, strict: bool = True) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def check_int(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer >= ``minimum``.
+
+    Python and numpy integers pass.  Anything else is refused rather than
+    truncated, so ``2.7`` never becomes ``2``.
+    """
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def check_positive_array(
     name: str, values: np.ndarray, strict: bool = True
 ) -> None:

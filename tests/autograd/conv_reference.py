@@ -4,9 +4,10 @@
 slice per kernel offset ``(di, dj)``.  These are the kernels it replaced:
 :func:`reference_im2col` gathers every window through precomputed index
 arrays and scatters the gradient back with ``np.add.at``;
-:func:`reference_max_pool2d` routes each window's gradient to its argmax
-with ``nonzero`` + ``np.add.at``.  ``test_conv_kernels_exact.py`` requires
-the slice kernels to reproduce both byte for byte.
+:func:`reference_max_pool2d` stacks the offsets' slices, takes ``argmax``
+over the stack and routes each window's gradient to its argmax with
+``nonzero`` + ``np.add.at``.  ``test_conv_kernels_exact.py`` requires the
+slice kernels to reproduce both byte for byte.
 """
 
 from __future__ import annotations

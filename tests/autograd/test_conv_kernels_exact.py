@@ -6,6 +6,17 @@ the order ``np.add.at`` used in :mod:`tests.autograd.conv_reference`.  Any
 other order, or an assignment in place of an add, changes a bit somewhere
 in these grids: overlapping windows (stride < kernel), skipped pixels
 (stride > kernel), padding, integer data with argmax ties and signed zeros.
+
+The ``nonfinite`` kind (integer data with NaN and ±inf, in the input and
+the seed gradient) checks ``max_pool2d``'s NaN-wins-first rule.  There
+NaN positions must match and every other element must match by bytes.
+When two NaNs meet in one gradient sum, say the ``0xfff8...`` that
+``inf + -inf`` makes and a ``0x7ff8...`` from the data, ``np.add.at`` and
+an in-place add keep different ones, so NaN payloads are outside the
+contract.
+
+``Tensor.relu`` is gated the same way against ``np.where(x > 0, x, 0.0)``
+and ``grad * (x > 0)``.
 """
 
 import itertools
@@ -22,8 +33,20 @@ STRIDES = [1, 2, (3, 1)]
 PADDINGS = [0, 1, (2, 0)]
 DATA = ["normal", "integer", "signed_zero"]
 
-CONV_CASES = list(itertools.product(KERNELS, STRIDES, PADDINGS, DATA))
-POOL_CASES = list(itertools.product(KERNELS, STRIDES, DATA))
+
+def _grid(*axes):
+    """Every case over ``DATA``, then every case over ``nonfinite``.
+
+    Cases are seeded by their index, so an exact case's data does not
+    depend on whether the nonfinite kind is in the grid.
+    """
+    return list(itertools.product(*axes, DATA)) + list(
+        itertools.product(*axes, ["nonfinite"])
+    )
+
+
+CONV_CASES = _grid(KERNELS, STRIDES, PADDINGS)
+POOL_CASES = _grid(KERNELS, STRIDES)
 
 
 def _ids(cases):
@@ -38,20 +61,33 @@ def _draw(kind, shape, rng):
         return rng.normal(size=shape)
     if kind == "integer":
         return np.round(rng.normal(scale=2.0, size=shape))
-    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if kind == "signed_zero":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    values = np.round(rng.normal(scale=2.0, size=shape))
+    u = rng.random(shape)
+    values[u < 0.15] = np.nan
+    values[(0.15 <= u) & (u < 0.25)] = np.inf
+    values[(0.25 <= u) & (u < 0.35)] = -np.inf
+    return values
 
 
-def _assert_same_bytes(got, expected):
+def _assert_same_bytes(got, expected, nan_payloads=False):
+    """Equal bytes; with ``nan_payloads``, equal NaN positions and equal bytes elsewhere."""
     assert got.shape == expected.shape
     assert got.dtype == expected.dtype
+    if nan_payloads:
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        got, expected = got[~nan], expected[~nan]
     assert got.tobytes() == expected.tobytes()
 
 
 def _forward_backward(fn, inputs, kind, seed):
     """``fn(*tensors)``'s output and every input gradient, from one seeded grad."""
     tensors = [Tensor(a.copy(), requires_grad=True) for a in inputs]
-    out = fn(*tensors)
-    out.backward(_draw(kind, out.shape, np.random.default_rng(seed)))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 make NaNs
+        out = fn(*tensors)
+        out.backward(_draw(kind, out.shape, np.random.default_rng(seed)))
     return [out.data] + [t.grad for t in tensors]
 
 
@@ -59,7 +95,7 @@ def _compare(fn, reference_fn, inputs, kind, seed):
     got = _forward_backward(fn, inputs, kind, seed)
     expected = _forward_backward(reference_fn, inputs, kind, seed)
     for g, e in zip(got, expected):
-        _assert_same_bytes(g, e)
+        _assert_same_bytes(g, e, nan_payloads=kind == "nonfinite")
 
 
 @pytest.mark.parametrize("case", range(len(CONV_CASES)), ids=_ids(CONV_CASES))
@@ -110,3 +146,39 @@ def test_max_pool2d_matches_reference(case):
         seed=3000 + case,
     )
 
+
+def _relu_data(kind, size, rng):
+    if kind == "normal":
+        return rng.normal(size=size)
+    specials = {
+        "signed_zero": [0.0, -0.0],
+        "subnormal": [5e-324, -5e-324],
+        "inf": [np.inf, -np.inf],
+        "nan": [np.nan, 1.0, -1.0],
+        "mixed": [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.5, -1.5],
+    }[kind]
+    return np.array(specials)[rng.integers(len(specials), size=size)]
+
+
+RELU_KINDS = ["normal", "signed_zero", "subnormal", "inf", "nan", "mixed"]
+RELU_SIZES = [1, 3, 7, 64, 1001]
+# numpy's fmax returns -0.0 for a -0.0 input on its scalar tail path but
+# +0.0 in its SIMD body; a short array keeps both -0.0s on the tail path.
+RELU_CASES = [
+    _relu_data(kind, size, np.random.default_rng(4000 + i))
+    for i, (kind, size) in enumerate(itertools.product(RELU_KINDS, RELU_SIZES))
+] + [np.array([-0.0, 1.0, -0.0])]
+RELU_IDS = [f"{k}-{n}" for k, n in itertools.product(RELU_KINDS, RELU_SIZES)] + [
+    "neg_zero_tail"
+]
+
+
+@pytest.mark.parametrize("x", RELU_CASES, ids=RELU_IDS)
+def test_relu_matches_masked_select(x):
+    grad = x[::-1].copy()
+    t = Tensor(x.copy(), requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf * 0 makes NaNs
+        out = t.relu()
+        out.backward(grad)
+        _assert_same_bytes(out.data, np.where(x > 0, x, 0.0))
+        _assert_same_bytes(t.grad, grad * (x > 0))

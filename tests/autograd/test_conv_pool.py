@@ -1,9 +1,11 @@
 """Convolution and pooling: forward values vs a reference, exact gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, functional as F, gradcheck
+from repro.autograd import Tensor, functional as F, gradcheck, no_grad
 from repro.nn.layers import AvgPool2d
 
 
@@ -66,6 +68,23 @@ class TestConv2dForward:
                 Tensor(np.zeros((2, 1, 3, 3))),
                 Tensor(np.zeros(3)),
             )
+
+    def test_no_grad_frees_columns_before_bias_add(self, rng):
+        # Without a graph nothing keeps the im2col columns past the matmul,
+        # so the peak is columns + one output, not columns + two outputs.
+        x = Tensor(rng.normal(size=(64, 1, 28, 28)))
+        w = Tensor(rng.normal(size=(10, 1, 5, 5)))
+        b = Tensor(rng.normal(size=(10,)))
+        cols = x.data.itemsize * 64 * 25 * 24 * 24
+        out = x.data.itemsize * 64 * 10 * 24 * 24
+        with no_grad():
+            tracemalloc.start()
+            try:
+                F.conv2d(x, w, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert cols + out <= peak < cols + 2 * out
 
 
 class TestConv2dGradients:

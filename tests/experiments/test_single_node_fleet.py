@@ -1,10 +1,14 @@
-"""Degenerate edges of the paper's market: one node, and a budget below one payment.
+"""Degenerate markets: one node, a budget below one payment, every node faulting.
 
 With a single node (N=1) the inner agent's allocation simplex has one
 vertex and every round either recruits that node or nobody.  With a budget
 below one round's payment no round can be paid for, so every episode ends
-on its first round having kept, wasted and spent nothing.  Each mechanism
-must still train and evaluate with every paper invariant holding per round.
+on its first round having kept, wasted and spent nothing.  When every
+recruited node crashes, the fault defenses withhold every payment, so each
+episode runs to ``max_rounds`` without spending or learning; without them
+the crashed nodes are still paid, and the budget buys nothing.  Each
+mechanism must still train and evaluate with every paper invariant holding
+per round.
 """
 
 import numpy as np
@@ -13,16 +17,31 @@ import pytest
 from repro.core.builder import build_environment
 from repro.experiments.mechanisms import make_mechanism
 from repro.experiments.runner import evaluate_mechanism, train_mechanism
+from repro.faults import FaultConfig
 from repro.testing.invariants import InvariantAuditor, auditing
 
 MECHANISMS = ["chiron", "drl_single", "greedy"]
+MAX_ROUNDS = 150
+ALL_CRASH = FaultConfig(crash_rate=1.0)
 
 
-def _train_and_evaluate_under_audit(name, n_nodes, budget):
-    """3 training and 2 evaluation episodes; returns them and the audited rounds."""
-    build = build_environment(
-        task_name="mnist", n_nodes=n_nodes, budget=budget, seed=0, max_rounds=150
+def _build(n_nodes, budget, faults=None, fault_defenses=True):
+    return build_environment(
+        task_name="mnist",
+        n_nodes=n_nodes,
+        budget=budget,
+        seed=0,
+        max_rounds=MAX_ROUNDS,
+        faults=faults,
+        fault_defenses=fault_defenses,
     )
+
+
+def _train_and_evaluate_under_audit(
+    name, n_nodes, budget, faults=None, fault_defenses=True
+):
+    """3 training and 2 evaluation episodes; returns them and the audited rounds."""
+    build = _build(n_nodes, budget, faults, fault_defenses)
     env = InvariantAuditor(build.env)
     mechanism = make_mechanism(name, env, rng=np.random.default_rng(1))
     with auditing():
@@ -51,3 +70,26 @@ def test_budget_below_one_payment_ends_each_episode_on_its_first_round(name):
         assert episode.rounds == 0
         assert episode.wasted_rounds == 0
         assert episode.budget_spent == 0.0
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_all_nodes_crash_with_defenses_spends_and_learns_nothing(name):
+    episodes, trained, audited = _train_and_evaluate_under_audit(
+        name, n_nodes=5, budget=20.0, faults=ALL_CRASH
+    )
+    assert (trained, audited) == (3 * MAX_ROUNDS, 5 * MAX_ROUNDS)
+    _, info = _build(5, 20.0).env.reset()
+    for episode in episodes:
+        assert episode.budget_spent == 0.0
+        assert episode.final_accuracy == info["accuracy"]
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_all_nodes_crash_without_defenses_pays_for_nothing(name):
+    episodes, _, _ = _train_and_evaluate_under_audit(
+        name, n_nodes=5, budget=20.0, faults=ALL_CRASH, fault_defenses=False
+    )
+    _, info = _build(5, 20.0).env.reset()
+    for episode in episodes:
+        assert episode.budget_spent > 0.0
+        assert episode.final_accuracy == info["accuracy"]

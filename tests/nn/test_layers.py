@@ -90,6 +90,41 @@ class TestPoolingLayers:
         assert out.shape == (1, 1, 3, 3)
 
 
+class TestLayerGeometry:
+    """Kernel, stride and padding are checked when the layer is built."""
+
+    @pytest.mark.parametrize(
+        "build,argument",
+        [
+            (lambda: Conv2d(1, 1, 2.7), "kernel_size"),
+            (lambda: MaxPool2d(2.9), "kernel_size"),
+            (lambda: AvgPool2d(3, stride=2.5), "stride"),
+            (lambda: Conv2d(1, 1, 3, padding=0.5), "padding"),
+            (lambda: MaxPool2d(2, stride=0), "stride"),
+            (lambda: AvgPool2d(2, stride=-1), "stride"),
+        ],
+        ids=[
+            "conv_fractional_kernel",
+            "max_pool_fractional_kernel",
+            "avg_pool_fractional_stride",
+            "conv_fractional_padding",
+            "max_pool_zero_stride",
+            "avg_pool_negative_stride",
+        ],
+    )
+    def test_rejected_at_construction(self, build, argument):
+        with pytest.raises(ValueError, match=argument):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        conv = Conv2d(1, 1, np.int64(3), stride=np.int32(2), padding=np.int64(1))
+        assert (conv.kernel_size, conv.stride, conv.padding) == (3, 2, 1)
+        assert type(conv.kernel_size) is int
+        pool = MaxPool2d(np.int64(2), stride=np.int16(1))
+        assert (pool.kernel_size, pool.stride) == (2, 1)
+        assert AvgPool2d(np.int64(3)).stride == 3
+
+
 class TestActivations:
     @pytest.mark.parametrize(
         "layer,fn",

@@ -87,7 +87,8 @@ class TestBuildLeaderboard:
                 _cell("m", 0.9, 5.0, seed_offset=1),
             ]
         )
-        assert board.rows[0].accuracy_ci95 > 0.0
+        # t(0.975, 1) = 12.706, s = 0.1414, K = 2: 12.706 * 0.1414 / 1.414
+        assert board.rows[0].accuracy_ci95 == pytest.approx(1.2706, abs=1e-4)
 
     def test_round_time_is_learning_time_per_round(self):
         board = build_leaderboard(
