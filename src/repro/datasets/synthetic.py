@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.datasets.base import ArrayDataset
 from repro.utils.rng import RNGLike, as_generator
@@ -110,6 +109,10 @@ class SyntheticImageTask:
 
     def _build_prototypes(self, gen: np.random.Generator) -> np.ndarray:
         """Band-limited noise prototypes, unit-normalized per image."""
+        # Imported here, not at module load: surrogate-accuracy runs import
+        # this package but never build a task, and need not load scipy.
+        from scipy import ndimage
+
         spec = self.spec
         shape = (
             spec.num_classes,

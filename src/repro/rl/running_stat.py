@@ -30,6 +30,8 @@ class RunningMeanStd:
                 f"batch rows have shape {batch.shape[1:]}, "
                 f"expected {self.mean.shape}"
             )
+        if batch.shape[0] == 0:
+            return  # nothing to fold in; the Chan update would divide by 0
         if batch.shape[0] == 1:
             # Single-row fast path: a one-sample batch has mean == row and
             # variance exactly +0.0, and ``m_a`` is never -0.0, so dropping

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 #: Bump when the leaderboard payload gains/loses fields.
 LEADERBOARD_SCHEMA_VERSION = 1
@@ -106,6 +105,8 @@ class Leaderboard:
 
 def _ci95(per_seed_means: Sequence[float]) -> float:
     """Half-width of the 95% Student-t CI over independent seed means."""
+    from scipy import stats  # slow to import, and only this CI needs it
+
     values = np.asarray(list(per_seed_means), dtype=np.float64)
     if values.size < 2:
         return 0.0

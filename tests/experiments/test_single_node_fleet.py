@@ -1,4 +1,5 @@
-"""Degenerate markets: one node, a budget below one payment, every node faulting.
+"""Degenerate markets: one node, a budget below one payment, every node
+faulting, nobody reachable.
 
 With a single node (N=1) the inner agent's allocation simplex has one
 vertex and every round either recruits that node or nobody.  With a budget
@@ -6,9 +7,11 @@ below one round's payment no round can be paid for, so every episode ends
 on its first round having kept, wasted and spent nothing.  When every
 recruited node crashes, the fault defenses withhold every payment, so each
 episode runs to ``max_rounds`` without spending or learning; without them
-the crashed nodes are still paid, and the budget buys nothing.  Each
-mechanism must still train and evaluate with every paper invariant holding
-per round.
+the crashed nodes are still paid, and the budget buys nothing.  When
+churn takes every node out of every round, nobody can be recruited: each
+round is wasted unpaid and the model never leaves its initial accuracy.
+Each mechanism must still train and evaluate with every paper invariant
+holding per round.
 """
 
 import numpy as np
@@ -23,25 +26,27 @@ from repro.testing.invariants import InvariantAuditor, auditing
 MECHANISMS = ["chiron", "drl_single", "greedy"]
 MAX_ROUNDS = 150
 ALL_CRASH = FaultConfig(crash_rate=1.0)
+NOBODY_AVAILABLE = 1e-9  # churns every node out of every round
 
 
-def _build(n_nodes, budget, faults=None, fault_defenses=True):
+def _build(n_nodes, budget, faults=None, fault_defenses=True, availability=1.0):
     return build_environment(
         task_name="mnist",
         n_nodes=n_nodes,
         budget=budget,
         seed=0,
         max_rounds=MAX_ROUNDS,
+        availability=availability,
         faults=faults,
         fault_defenses=fault_defenses,
     )
 
 
 def _train_and_evaluate_under_audit(
-    name, n_nodes, budget, faults=None, fault_defenses=True
+    name, n_nodes, budget, faults=None, fault_defenses=True, availability=1.0
 ):
     """3 training and 2 evaluation episodes; returns them and the audited rounds."""
-    build = _build(n_nodes, budget, faults, fault_defenses)
+    build = _build(n_nodes, budget, faults, fault_defenses, availability)
     env = InvariantAuditor(build.env)
     mechanism = make_mechanism(name, env, rng=np.random.default_rng(1))
     with auditing():
@@ -92,4 +97,19 @@ def test_all_nodes_crash_without_defenses_pays_for_nothing(name):
     _, info = _build(5, 20.0).env.reset()
     for episode in episodes:
         assert episode.budget_spent > 0.0
+        assert episode.final_accuracy == info["accuracy"]
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_nobody_reachable_runs_each_episode_to_max_rounds_unpaid(name):
+    episodes, trained, audited = _train_and_evaluate_under_audit(
+        name, n_nodes=5, budget=20.0, availability=NOBODY_AVAILABLE
+    )
+    assert (trained, audited) == (3 * MAX_ROUNDS, 5 * MAX_ROUNDS)
+    _, info = _build(5, 20.0).env.reset()
+    for episode in episodes:
+        assert episode.rounds == 0
+        # The runner counts a dropped round as wasted unless it ends the episode.
+        assert episode.wasted_rounds == MAX_ROUNDS - 1
+        assert episode.budget_spent == 0.0
         assert episode.final_accuracy == info["accuracy"]

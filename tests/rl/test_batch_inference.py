@@ -5,6 +5,8 @@ staged-then-flushed trajectory must land in the rollout buffer exactly as
 sequential ``store`` calls would.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,21 @@ class TestActBatch:
         assert vals.shape == (4,)
         assert norm.shape == (4, 6)
         assert np.all(np.isfinite(acts))
+
+    def test_empty_batch_leaves_normalizer_untouched(self):
+        agent = make_agent(seed=1)
+        agent.act_batch(np.random.default_rng(0).normal(size=(4, 6)))
+        stat = agent.obs_stat
+        mean, var, count = stat.mean.tobytes(), stat.var.tobytes(), stat.count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acts, logps, vals, norm = agent.act_batch(np.zeros((0, 6)))
+        assert (acts.shape, logps.shape, vals.shape, norm.shape) == (
+            (0, 3), (0,), (0,), (0, 6)
+        )
+        assert stat.mean.tobytes() == mean
+        assert stat.var.tobytes() == var
+        assert stat.count == count
 
     def test_batch_rows_use_distinct_noise(self):
         agent = make_agent(seed=1)

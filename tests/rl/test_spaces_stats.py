@@ -1,5 +1,7 @@
 """Box space and running statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,17 @@ class TestRunningMeanStd:
         stat = RunningMeanStd((2,))
         stat.update(np.array([1.0, 2.0]))  # 1-D row is accepted
         assert stat.count > 1e-4
+
+    def test_zero_row_batch_is_a_no_op(self, rng):
+        stat = RunningMeanStd((3,))
+        stat.update(rng.normal(size=(4, 3)))
+        mean, var, count = stat.mean.tobytes(), stat.var.tobytes(), stat.count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stat.update(np.zeros((0, 3)))
+        assert stat.mean.tobytes() == mean
+        assert stat.var.tobytes() == var
+        assert stat.count == count
 
     def test_normalize_clip(self, rng):
         stat = RunningMeanStd((1,))
