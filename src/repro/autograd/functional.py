@@ -1,10 +1,11 @@
 """Composite and image-specific differentiable functions.
 
 Everything here consumes and returns :class:`~repro.autograd.tensor.Tensor`
-objects.  The image kernels visit one strided slice per kernel offset
-``(di, dj)``: ``im2col`` copies each offset's window elements into one
-column block (convolution is then a matrix product) and its backward adds
-each offset's gradient back into the same slice.  ``max_pool2d`` keeps a
+objects.  ``im2col`` copies every sliding window into one column block in
+a single in-order pass (convolution is then a matrix product).  The other
+image kernels visit one strided slice per kernel offset ``(di, dj)``:
+``im2col``'s backward adds each offset's gradient block back into that
+offset's slice of the padded input.  ``max_pool2d`` keeps a
 running first maximum over the offsets' slices, updating the best value
 and its offset by bit select under int64 words of all ones, so no
 data-dependent mask picks a branch; its backward adds, per offset, the
@@ -17,6 +18,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.tensor import Tensor
 
@@ -152,10 +154,13 @@ def im2col(
     padded = x.data
     if ph or pw:
         padded = np.pad(padded, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    # One copy that writes the block front to back: a copy per offset
+    # writes short runs far apart, which is slow once the block has left
+    # the cache.
+    sh, sw = stride
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, di, dj] = padded[_window(di, dj, stride, out_h, out_w)]
+    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:

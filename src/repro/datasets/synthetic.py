@@ -94,6 +94,32 @@ TASK_SPECS: Dict[str, TaskSpec] = {
 }
 
 
+def _gaussian_blur(image: np.ndarray, sigma: float, axis: int) -> np.ndarray:
+    """``image`` smoothed along ``axis`` by a Gaussian of width ``sigma``.
+
+    Equals ``scipy.ndimage.gaussian_filter1d(image, sigma, axis)`` byte for
+    byte, because it repeats scipy's arithmetic: the kernel is cut at
+    ``int(4σ + 0.5)`` and divided by its sum, each line is extended by
+    mirroring (scipy's ``reflect``, numpy's ``symmetric``), and each output
+    is ``centre · w[0]`` plus ``(left_j + right_j) · w[j]`` for ``j`` from
+    the radius down to 1, the symmetric branch of scipy's correlation.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = weights / weights.sum()
+    width = [(0, 0)] * image.ndim
+    width[axis] = (radius, radius)
+    lines = np.moveaxis(np.pad(image, width, mode="symmetric"), axis, -1)
+    n = image.shape[axis]
+    out = lines[..., radius : radius + n] * weights[radius]
+    for j in range(radius, 0, -1):
+        left = lines[..., radius - j : radius - j + n]
+        right = lines[..., radius + j : radius + j + n]
+        out += (left + right) * weights[radius - j]
+    return np.moveaxis(out, -1, axis)
+
+
 class SyntheticImageTask:
     """A frozen synthetic classification task.
 
@@ -109,10 +135,6 @@ class SyntheticImageTask:
 
     def _build_prototypes(self, gen: np.random.Generator) -> np.ndarray:
         """Band-limited noise prototypes, unit-normalized per image."""
-        # Imported here, not at module load: surrogate-accuracy runs import
-        # this package but never build a task, and need not load scipy.
-        from scipy import ndimage
-
         spec = self.spec
         shape = (
             spec.num_classes,
@@ -122,9 +144,8 @@ class SyntheticImageTask:
             spec.image_size,
         )
         raw = gen.normal(size=shape)
-        smooth = ndimage.gaussian_filter(
-            raw, sigma=(0, 0, 0, spec.smoothness, spec.smoothness)
-        )
+        smooth = _gaussian_blur(raw, spec.smoothness, axis=3)
+        smooth = _gaussian_blur(smooth, spec.smoothness, axis=4)
         # Normalize each prototype image to zero mean / unit std so all
         # classes carry equal signal energy.
         flat = smooth.reshape(spec.num_classes, spec.prototypes_per_class, -1)
@@ -138,21 +159,8 @@ class SyntheticImageTask:
         """Draw ``n`` labeled examples (balanced labels in expectation)."""
         check_positive("n", n)
         gen = as_generator(rng)
-        spec = self.spec
-        labels = gen.integers(0, spec.num_classes, size=n)
-        variants = gen.integers(0, spec.prototypes_per_class, size=n)
-        images = self._prototypes[labels, variants].copy()
-
-        shifts = gen.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
-        for i in range(n):
-            dy, dx = shifts[i]
-            if dy or dx:
-                images[i] = np.roll(images[i], (dy, dx), axis=(1, 2))
-
-        contrast = 1.0 + spec.contrast_jitter * gen.normal(size=(n, 1, 1, 1))
-        images = images * contrast
-        images = images + spec.noise_std * gen.normal(size=images.shape)
-        return ArrayDataset(images, labels)
+        labels = gen.integers(0, self.spec.num_classes, size=n)
+        return self._render(labels, gen)
 
     def sample_class_conditional(
         self, counts: np.ndarray, rng: RNGLike = None
@@ -172,16 +180,25 @@ class SyntheticImageTask:
         gen = as_generator(rng)
         labels = np.repeat(np.arange(self.spec.num_classes), counts)
         gen.shuffle(labels)
-        # Re-use the unconditional pipeline with fixed labels.
-        n = labels.shape[0]
+        return self._render(labels, gen)
+
+    def _render(self, labels: np.ndarray, gen: np.random.Generator) -> ArrayDataset:
+        """Draw one image per label (prototype, cyclic shift, contrast, noise)."""
         spec = self.spec
+        n = labels.shape[0]
         variants = gen.integers(0, spec.prototypes_per_class, size=n)
-        images = self._prototypes[labels, variants].copy()
         shifts = gen.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
-        for i in range(n):
-            dy, dx = shifts[i]
-            if dy or dx:
-                images[i] = np.roll(images[i], (dy, dx), axis=(1, 2))
+        # np.roll by (dy, dx) reads pixel (y - dy, x - dx), wrapping around.
+        size = spec.image_size
+        rows = (np.arange(size) - shifts[:, :1]) % size
+        cols = (np.arange(size) - shifts[:, 1:]) % size
+        images = self._prototypes[
+            labels[:, None, None, None],
+            variants[:, None, None, None],
+            np.arange(spec.channels)[:, None, None],
+            rows[:, None, :, None],
+            cols[:, None, None, :],
+        ]
         contrast = 1.0 + spec.contrast_jitter * gen.normal(size=(n, 1, 1, 1))
         images = images * contrast + spec.noise_std * gen.normal(size=images.shape)
         return ArrayDataset(images, labels)

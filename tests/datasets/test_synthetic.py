@@ -97,3 +97,54 @@ class TestTrainTestSplit:
     def test_independent_draws(self):
         train, test = make_task("mnist", rng=0).train_test_split(10, 10, rng=1)
         assert not np.allclose(train.x, test.x)
+
+
+def _roll_loop_render(task, labels, gen):
+    """Images for ``labels`` as a per-image ``np.roll`` loop renders them."""
+    spec = task.spec
+    n = labels.shape[0]
+    variants = gen.integers(0, spec.prototypes_per_class, size=n)
+    images = task._prototypes[labels, variants].copy()
+    shifts = gen.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
+    for i in range(n):
+        dy, dx = shifts[i]
+        if dy or dx:
+            images[i] = np.roll(images[i], (dy, dx), axis=(1, 2))
+    contrast = 1.0 + spec.contrast_jitter * gen.normal(size=(n, 1, 1, 1))
+    return images * contrast + spec.noise_std * gen.normal(size=images.shape)
+
+
+RENDER_SPECS = [
+    TASK_SPECS["mnist"],
+    TASK_SPECS["cifar10"],
+    # Shifts up to 5 on a 3-pixel image wrap around more than once.
+    TaskSpec(
+        name="tiny", channels=2, image_size=3, prototypes_per_class=2, max_shift=5
+    ),
+]
+
+
+class TestRenderingMatchesRollLoop:
+    @pytest.mark.parametrize("spec", RENDER_SPECS, ids=lambda s: s.name)
+    def test_sample(self, spec):
+        task = SyntheticImageTask(spec, rng=0)
+        for seed, n in [(0, 1), (1, 120), (2, 500)]:
+            gen = np.random.default_rng(seed)
+            labels = gen.integers(0, spec.num_classes, size=n)
+            want = _roll_loop_render(task, labels, gen)
+            got = task.sample(n, rng=seed)
+            assert got.x.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got.y, labels)
+
+    @pytest.mark.parametrize("spec", RENDER_SPECS, ids=lambda s: s.name)
+    def test_class_conditional(self, spec):
+        task = SyntheticImageTask(spec, rng=0)
+        counts = np.arange(spec.num_classes) * 7 % 11
+        for seed in range(3):
+            gen = np.random.default_rng(seed)
+            labels = np.repeat(np.arange(spec.num_classes), counts)
+            gen.shuffle(labels)
+            want = _roll_loop_render(task, labels, gen)
+            got = task.sample_class_conditional(counts, rng=seed)
+            assert got.x.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got.y, labels)
