@@ -2,7 +2,13 @@
 
 Everything here consumes and returns :class:`~repro.autograd.tensor.Tensor`
 objects.  ``im2col`` copies every sliding window into one column block in
-a single in-order pass (convolution is then a matrix product).  The other
+a single in-order pass (convolution is then a matrix product).  When no
+graph is recorded, ``conv2d`` lowers as many images as fit in
+``_COLUMN_BYTES`` (at least one) at a time into one reused block and
+multiplies each chunk into its rows of the output: numpy's broadcasting
+matmul makes one gemm call per image either way, so the result is
+byte-identical to multiplying the whole batch's columns, which only a
+backward needs.  The other
 image kernels visit one strided slice per kernel offset ``(di, dj)``:
 ``im2col``'s backward adds each offset's gradient block back into that
 offset's slice of the padded input.  ``max_pool2d`` keeps a
@@ -20,9 +26,13 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 
 IntPair = Union[int, Tuple[int, int]]
+
+# Bytes of columns ``conv2d`` lowers at a time when it records no graph:
+# one core's L2 cache on a 2-vCPU x86-64 host.
+_COLUMN_BYTES = 2 * 1024 * 1024
 
 
 def _pair(value: IntPair, name: str, minimum: int = 1) -> Tuple[int, int]:
@@ -46,6 +56,27 @@ def _window(
         slice(di, di + sh * out_h, sh),
         slice(dj, dj + sw * out_w, sw),
     )
+
+
+def _lower(
+    data: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out: np.ndarray,
+) -> None:
+    """Copy every window of ``data`` ``(n, c, h, w)`` into ``out``.
+
+    ``out`` is the ``(n, c, kh, kw, out_h, out_w)`` column block.  One copy
+    writes it front to back: a copy per offset writes short runs far
+    apart, which is slow once the block has left the cache.
+    """
+    ph, pw = padding
+    if ph or pw:
+        data = np.pad(data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    sh, sw = stride
+    windows = sliding_window_view(data, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    np.copyto(out, windows.transpose(0, 1, 4, 5, 2, 3))
 
 
 def _words(mask: np.ndarray) -> np.ndarray:
@@ -151,16 +182,8 @@ def im2col(
     out_h = conv_output_size(h, kh, stride[0], ph)
     out_w = conv_output_size(w, kw, stride[1], pw)
 
-    padded = x.data
-    if ph or pw:
-        padded = np.pad(padded, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # One copy that writes the block front to back: a copy per offset
-    # writes short runs far apart, which is slow once the block has left
-    # the cache.
-    sh, sw = stride
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
-    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
+    _lower(x.data, (kh, kw), stride, (ph, pw), cols)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
@@ -202,19 +225,40 @@ def conv2d(
     stride_p = _pair(stride, "stride")
     padding_p = _pair(padding, "padding", 0)
     out_c, in_c, kh, kw = weight.shape
+    kernel = _pair((kh, kw), "kernel")
     n = x.shape[0]
     out_h = conv_output_size(x.shape[2], kh, stride_p[0], padding_p[0])
     out_w = conv_output_size(x.shape[3], kw, stride_p[1], padding_p[1])
+    if bias is not None and bias.shape != (out_c,):
+        raise ValueError(f"bias must be ({out_c},), got {bias.shape}")
 
-    w_mat = weight.reshape(out_c, in_c * kh * kw)  # (c_out, c*kh*kw)
+    rows = in_c * kh * kw
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    if not (is_grad_enabled() and any(t.requires_grad for t in inputs)):
+        # No backward will read the columns: lower a few images at a time
+        # into one reused block, each chunk's product into its own rows.
+        chunk = max(1, _COLUMN_BYTES // max(1, 8 * rows * out_h * out_w))
+        block = np.empty((min(chunk, n), in_c, kh, kw, out_h, out_w))
+        w_mat = weight.data.reshape(out_c, rows)
+        out = np.empty((n, out_c, out_h * out_w))
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            cols = block[: stop - start]
+            _lower(x.data[start:stop], kernel, stride_p, padding_p, cols)
+            np.matmul(
+                w_mat,
+                cols.reshape(stop - start, rows, out_h * out_w),
+                out=out[start:stop],
+            )
+        if bias is not None:
+            out += bias.data.reshape(1, out_c, 1)
+        return Tensor(out.reshape(n, out_c, out_h, out_w))
+
+    w_mat = weight.reshape(out_c, rows)  # (c_out, c*kh*kw)
     # Broadcasting matmul over the (n, c*kh*kw, L) columns -> (n, c_out, L).
-    # No local holds the columns, so without a graph they are freed before
-    # the bias add allocates the output.
     out = w_mat @ im2col(x, (kh, kw), stride_p, padding_p)
     out = out.reshape(n, out_c, out_h, out_w)
     if bias is not None:
-        if bias.shape != (out_c,):
-            raise ValueError(f"bias must be ({out_c},), got {bias.shape}")
         out = out + bias.reshape(1, out_c, 1, 1)
     return out
 

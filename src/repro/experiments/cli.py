@@ -79,7 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale",
         choices=("quick", "paper"),
         default="quick",
-        help="workload size: 'quick' (seconds-minutes) or 'paper' (hours)",
+        help=(
+            "workload size: 'quick' (seconds-minutes) or 'paper' (§VI-A sizes; "
+            "'run all' took 12.5 minutes at one worker on a 2-vCPU host, "
+            "about 3 of them in the tournament)"
+        ),
     )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(

@@ -6,7 +6,9 @@ scales:
 * ``quick`` — scaled-down (surrogate accuracy, tens of episodes); finishes
   in seconds-to-minutes on a laptop.  Used by the benchmark suite.
 * ``paper`` — the paper's workload sizes (500 episodes, §VI-A
-  hyper-parameters); hours of compute, same code path.
+  hyper-parameters), same code path.  ``chiron-repro run all --scale
+  paper`` took 12.5 minutes at one worker on a 2-vCPU host, about 3 of
+  them in the tournament.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ accuracy after each round.  Two interchangeable backends provide it:
 * :class:`RealTrainingAccuracy` — actually runs the numpy CNN federated
   round (exact paper pipeline; expensive).
 * :class:`SurrogateAccuracy` — a saturating power-law accuracy curve whose
-  per-task parameters are calibrated against the real simulator
-  (``tests/integration/test_surrogate_fidelity.py``).  Used for paper-scale
-  DRL runs where the paper burned GPU-days retraining CNNs inside every
-  PPO episode (DESIGN.md §3, substitution 3).
+  per-task parameters are calibrated against the real simulator.  Used for
+  paper-scale DRL runs where the paper burned GPU-days retraining CNNs
+  inside every PPO episode (DESIGN.md §3, substitution 3).  The check that
+  the two agree is ``TestSurrogateFidelity.test_real_and_surrogate_agree``
+  in ``tests/integration/test_end_to_end.py``: MNIST only, five nodes,
+  four full-fleet rounds, each within ``abs=0.12``.
 
 Both implement the same duck-typed interface::
 

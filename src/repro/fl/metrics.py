@@ -34,15 +34,17 @@ def evaluate(
     model.eval()
     correct = 0
     loss_sum = 0.0
-    with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            xb = dataset.x[start : start + batch_size]
-            yb = dataset.y[start : start + batch_size]
-            logits = model(xb)
-            predictions = logits.data.argmax(axis=1)
-            correct += int((predictions == yb).sum())
-            loss_sum += float(F.cross_entropy(logits, yb).item()) * xb.shape[0]
-    if was_training:
-        model.train()
+    try:
+        with no_grad():
+            for start in range(0, len(dataset), batch_size):
+                xb = dataset.x[start : start + batch_size]
+                yb = dataset.y[start : start + batch_size]
+                logits = model(xb)
+                predictions = logits.data.argmax(axis=1)
+                correct += int((predictions == yb).sum())
+                loss_sum += float(F.cross_entropy(logits, yb).item()) * xb.shape[0]
+    finally:
+        if was_training:
+            model.train()
     n = len(dataset)
     return EvalResult(accuracy=correct / n, loss=loss_sum / n, n_samples=n)

@@ -15,6 +15,12 @@ When two NaNs meet in one gradient sum, say the ``0xfff8...`` that
 an in-place add keep different ones, so NaN payloads are outside the
 contract.
 
+Without a graph, ``conv2d`` lowers a chunk of images at a time and
+multiplies each chunk into its rows of the output.  It is gated against
+the graph path byte for byte, NaN payloads included, on the real CNNs'
+conv geometries and a few odd ones, at batch sizes around the chunk
+boundaries.
+
 ``Tensor.relu`` is gated the same way against ``np.where(x > 0, x, 0.0)``
 and ``grad * (x > 0)``.
 """
@@ -24,7 +30,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, functional as F
+from repro.autograd import Tensor, functional as F, no_grad
 
 from tests.autograd.conv_reference import reference_im2col, reference_max_pool2d
 
@@ -131,6 +137,129 @@ def test_conv2d_matches_reference(case, monkeypatch):
             return conv(x, w, b)
 
     _compare(conv, reference_conv, [x, w, b], kind, seed=2000 + case)
+
+
+# name: (input (c, h, w), weight (c_out, c_in, kh, kw), stride, padding)
+INFERENCE_GEOMETRIES = {
+    "mcmahan_conv1": ((1, 28, 28), (10, 1, 5, 5), 1, 0),
+    "mcmahan_conv2": ((10, 12, 12), (20, 10, 5, 5), 1, 0),
+    "lenet_conv1": ((3, 32, 32), (6, 3, 5, 5), 1, 0),
+    "lenet_conv2": ((6, 14, 14), (16, 6, 5, 5), 1, 0),
+    "stride2": ((4, 28, 28), (8, 4, 5, 5), 2, 0),
+    "padded": ((6, 14, 14), (8, 6, 3, 3), 1, 1),
+    "kernel3x2": ((5, 20, 24), (7, 5, 3, 2), 1, 0),
+    "kernel2x4_stride3x1_pad2x0": ((3, 17, 15), (5, 3, 2, 4), (3, 1), (2, 0)),
+}
+INFERENCE_DATA = ["normal", "signed_zero", "nonfinite"]
+
+
+def _chunk(geometry):
+    """Images a chunk of the inference path lowers at once."""
+    (_, h, w), (_, c_in, kh, kw), stride, padding = geometry
+    stride, padding = F._pair(stride, "stride"), F._pair(padding, "padding", 0)
+    out_h = F.conv_output_size(h, kh, stride[0], padding[0])
+    out_w = F.conv_output_size(w, kw, stride[1], padding[1])
+    return max(1, F._COLUMN_BYTES // (8 * c_in * kh * kw * out_h * out_w))
+
+
+def _batch_sizes(chunk):
+    """One image, either side of one and two chunk boundaries, and large batches."""
+    return sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 256, 400} - {0})
+
+
+INFERENCE_CASES = [
+    (name, n, kind)
+    for name, geometry in INFERENCE_GEOMETRIES.items()
+    for n in _batch_sizes(_chunk(geometry))
+    for kind in INFERENCE_DATA
+]
+
+
+def _draw_conv(kind, shape, rng, nonfinite=0.0):
+    """Normal data, ``±0.0``, or normal data with ``-0.0``, NaN and ``±inf`` mixed in.
+
+    In the ``nonfinite`` kind a ``nonfinite`` share of the elements each
+    is NaN, +inf and -inf, and a fifth of the rest is ``-0.0``.
+    """
+    if kind == "signed_zero":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    values = rng.normal(size=shape)
+    if kind == "nonfinite":
+        u = rng.random(shape)
+        values[u < nonfinite] = np.nan
+        values[(nonfinite <= u) & (u < 2 * nonfinite)] = np.inf
+        values[(2 * nonfinite <= u) & (u < 3 * nonfinite)] = -np.inf
+        values[(3 * nonfinite <= u) & (u < 3 * nonfinite + 0.2)] = -0.0
+    return values
+
+
+def _conv_inputs(name, n, kind, rng):
+    """Input, weight and bias for one inference case.
+
+    In the ``nonfinite`` kind about one output window in seven sees a NaN
+    or an infinity of the input; channel 0 adds a NaN bias to a NaN
+    weight's NaNs, channels 1 and 2 have an infinite weight and channel 3
+    a ``-0.0`` bias.
+    """
+    (c, h, w), weight_shape, _, _ = INFERENCE_GEOMETRIES[name]
+    taps = np.prod(weight_shape[1:])
+    x = _draw_conv(kind, (n, c, h, w), rng, nonfinite=0.05 / taps)
+    weight = _draw_conv(kind, weight_shape, rng)
+    bias = _draw_conv(kind, weight_shape[:1], rng)
+    if kind == "nonfinite":
+        weight[0, 0, 0, 0] = bias[0] = np.nan
+        weight[1, 0, -1, -1], weight[2, -1, 0, -1] = np.inf, -np.inf
+        bias[3] = -0.0
+    return x, weight, bias
+
+
+def _assert_inference_matches_graph(name, x, weight, bias):
+    """``conv2d`` without a graph, both ways, against the graph path by bytes."""
+    _, _, stride, padding = INFERENCE_GEOMETRIES[name]
+    rest = [] if bias is None else [bias]
+
+    def conv(*tensors):
+        return F.conv2d(*tensors, stride=stride, padding=padding)
+
+    params = [Tensor(a, requires_grad=True) for a in [weight] + rest]
+    # The graph path runs last: its freed pre-bias product could otherwise
+    # become the inference output's buffer and hide rows left unwritten.
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 make NaNs
+        with no_grad():
+            inferred = conv(Tensor(x), *params)
+        constant = conv(Tensor(x), *[Tensor(a) for a in [weight] + rest])
+        graph = conv(Tensor(x), *params)
+    assert graph.requires_grad
+    for out in (inferred, constant):
+        assert not out.requires_grad
+        _assert_same_bytes(out.data, graph.data)
+
+
+def test_inference_chunks_are_smaller_than_the_evaluation_batch():
+    # 256 is repro.fl.metrics.evaluate's batch; each real CNN conv must
+    # split it, or the cases above would not cross a chunk boundary.
+    chunks = [_chunk(INFERENCE_GEOMETRIES[name]) for name in INFERENCE_GEOMETRIES]
+    assert chunks[:4] == [18, 16, 4, 17]
+    assert all(2 * chunk + 1 <= 400 for chunk in chunks)
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(INFERENCE_CASES)),
+    ids=["-".join(map(str, case)) for case in INFERENCE_CASES],
+)
+def test_conv2d_inference_matches_graph_path(case):
+    name, n, kind = INFERENCE_CASES[case]
+    rng = np.random.default_rng(5000 + case)
+    _assert_inference_matches_graph(name, *_conv_inputs(name, n, kind, rng))
+
+
+@pytest.mark.parametrize("name", INFERENCE_GEOMETRIES)
+def test_conv2d_inference_without_bias_matches_graph_path(name):
+    n = 2 * _chunk(INFERENCE_GEOMETRIES[name]) + 1
+    rng = np.random.default_rng(6000 + list(INFERENCE_GEOMETRIES).index(name))
+    x, weight, _ = _conv_inputs(name, n, "nonfinite", rng)
+    _assert_inference_matches_graph(name, x, weight, None)
 
 
 @pytest.mark.parametrize("case", range(len(POOL_CASES)), ids=_ids(POOL_CASES))

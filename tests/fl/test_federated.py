@@ -56,6 +56,25 @@ class TestEvaluate:
         server.evaluate()
         assert server.model.training
 
+    def test_restores_training_mode_when_a_batch_raises(self):
+        from repro.datasets import ArrayDataset
+
+        class FailsOnSecondBatch(McMahanCNN):
+            calls = 0
+
+            def forward(self, x):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("second batch")
+                return super().forward(x)
+
+        model = FailsOnSecondBatch(rng=0)
+        ds = ArrayDataset(np.zeros((3, 1, 28, 28)), np.zeros(3, dtype=int))
+        with pytest.raises(RuntimeError, match="second batch"):
+            evaluate(model, ds, batch_size=2)
+        assert model.training
+        assert model.dropout.training
+
 
 class TestEdgeNode:
     def test_id_mismatch(self):

@@ -5,6 +5,9 @@ import pytest
 
 from repro.rl import A2CAgent, PPOConfig
 
+from tests.rl.ppo_reference import a2c_reference_step
+from tests.rl.test_fused_update import DIMS, HIDDEN, ROWS, run_pair
+
 
 def fast_config(**overrides):
     params = dict(
@@ -74,3 +77,29 @@ class TestChironWithA2C:
         assert isinstance(agent.exterior, A2CAgent)
         history = train_mechanism(env, agent, episodes=5)
         assert len(history) == 5
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"obs{d[0]}-act{d[1]}")
+@pytest.mark.parametrize("hidden", HIDDEN, ids=lambda h: "h" + "x".join(map(str, h)))
+class TestA2CStepMatchesReference:
+    """``_update_minibatch`` against :func:`a2c_reference_step`, bit for bit.
+
+    Every gradient, parameter, Adam moment and returned statistic over
+    three consecutive steps, as ``test_fused_update.py`` checks PPO's.
+    """
+
+    def check(self, hidden, dims, rows, seed, zero_advantages=False, **overrides):
+        config = PPOConfig(hidden=hidden, actor_lr=1e-2, critic_lr=1e-2, **overrides)
+        agent = A2CAgent(*dims, config=config, rng=seed)
+        rng = np.random.default_rng(seed)
+        run_pair(agent, rows, rng, zero_advantages, reference_fn=a2c_reference_step)
+
+    def test_random_minibatches(self, hidden, dims, rows):
+        self.check(hidden, dims, rows, seed=rows)
+
+    def test_zero_advantages(self, hidden, dims, rows):
+        self.check(hidden, dims, rows, seed=100 + rows, zero_advantages=True)
+
+    def test_unclipped_gradients(self, hidden, dims, rows):
+        self.check(hidden, dims, rows, seed=300 + rows, max_grad_norm=0.0)

@@ -67,13 +67,14 @@ def assert_agents_equal(fused, reference, step):
             assert_bits_equal(got[key], want[key], f"step {step}: {opt} {key}")
 
 
-def run_pair(agent, rows, rng, zero_advantages=False):
+def run_pair(agent, rows, rng, zero_advantages=False, reference_fn=reference_step):
+    """``agent._update_minibatch`` on one deep copy, ``reference_fn`` on another."""
     fused = copy.deepcopy(agent)
     reference = copy.deepcopy(agent)
     for step in range(STEPS):
         mb = make_minibatch(fused, rows, rng, zero_advantages)
         got = fused._update_minibatch(mb)
-        want = reference_step(reference, mb)
+        want = reference_fn(reference, mb)
         assert sorted(got) == sorted(want)
         for key in want:
             assert_bits_equal(got[key], want[key], f"step {step}: {key}")
