@@ -63,9 +63,10 @@ chaos-smoke:
 resume-test:
 	$(PYTHON) -m repro.resilience resume-test
 
-# SIGKILL drill for training: kill a journaled 2-worker training run
-# mid-flight, resume from the checkpoints, require the golden learning
-# curve AND the golden checkpoint digest bit for bit.
+# SIGKILL drill for training: kill a journaled, checkpointed seeded
+# training run mid-flight, resume from the checkpoints in process,
+# require the golden learning curve AND the golden checkpoint digest bit
+# for bit.
 train-resume-test:
 	$(PYTHON) -m repro.resilience train-resume-test
 
@@ -88,7 +89,7 @@ repro:
 	$(PYTHON) -m repro.experiments run all --out results/
 	$(PYTHON) -m repro.experiments report results/
 
-# The paper-sized workloads (hours).
+# The paper-sized workloads (12.5 minutes at one worker on a 2-vCPU host).
 repro-paper:
 	$(PYTHON) -m repro.experiments run all --scale paper --out results-paper/
 

@@ -61,9 +61,9 @@ class DRLSingleAgent(IncentiveMechanism):
         self.training = True
         self._pending: Optional[dict] = None
         self._episode_reward = 0.0
-        # Collect-only mode for parallel trajectory collection (see
+        # Collect-only mode for seeded trajectory collection (see
         # repro.parallel.training): episode ends stop consuming the
-        # buffer; the parent applies updates after merging.
+        # buffer; the round engine applies one update after merging.
         self._defer_updates = False
 
     def propose_prices(self, obs: Observation) -> np.ndarray:
@@ -118,18 +118,18 @@ class DRLSingleAgent(IncentiveMechanism):
         )
 
     def apply_update(self) -> Dict[str, float]:
-        """Run the PPO update if the buffer is ready (parent-side)."""
+        """Run the PPO update if the buffer is ready (live-agent side)."""
         if self.ready_to_update():
             return self.agent.update()
         return {}
 
     # ------------------------------------------------------------------ #
-    # parallel trajectory collection (see repro.parallel.training)
+    # seeded trajectory collection (see repro.parallel.training)
     # ------------------------------------------------------------------ #
     supports_parallel_training = True
 
     def begin_collect(self, sample_seed: int) -> None:
-        """Enter collect-only mode for one seeded episode (worker side)."""
+        """Enter collect-only mode for one seeded episode (snapshot side)."""
         self.agent.begin_collect(int(sample_seed))
         self._defer_updates = True
 
@@ -140,7 +140,7 @@ class DRLSingleAgent(IncentiveMechanism):
         return collected
 
     def absorb_collected(self, collected: Dict[str, dict]) -> None:
-        """Fold one worker episode into the parent's buffer/normalizer."""
+        """Fold one collected episode into the live buffer/normalizer."""
         self.agent.absorb_collected(collected["agent"])
 
     def train_mode(self) -> "DRLSingleAgent":

@@ -115,9 +115,10 @@ class ChironAgent(IncentiveMechanism):
         self._pending: Optional[dict] = None
         self._episode_ext_reward = 0.0
         self._episode_inn_reward = 0.0
-        # Collect-only mode (parallel training workers): transitions are
+        # Collect-only mode (seeded round training): transitions are
         # buffered but end_episode() must not consume them with an update —
-        # the parent applies updates after merging (see apply_update()).
+        # the round engine applies one update after merging (see
+        # apply_update()).
         self._defer_updates = False
 
     # ------------------------------------------------------------------ #
@@ -239,11 +240,11 @@ class ChironAgent(IncentiveMechanism):
     def apply_update(self) -> Dict[str, float]:
         """Run both sub-agents' PPO updates if the buffers are ready.
 
-        Factored out of :meth:`end_episode` so the parallel training
-        engine can merge worker trajectories first and then update *in
-        the parent process* — agent state never crosses a pickle
-        boundary.  Returns the prefixed update statistics (empty when
-        the buffers are not ready).
+        Factored out of :meth:`end_episode` so the seeded round engine
+        (:mod:`repro.parallel.training`) can merge a round's collected
+        episodes into the live agent first and then update it once.
+        Returns the prefixed update statistics (empty when the buffers
+        are not ready).
         """
         diagnostics: Dict[str, float] = {}
         if self.ready_to_update():
@@ -254,17 +255,17 @@ class ChironAgent(IncentiveMechanism):
         return diagnostics
 
     # ------------------------------------------------------------------ #
-    # parallel trajectory collection (see repro.parallel.training)
+    # seeded trajectory collection (see repro.parallel.training)
     # ------------------------------------------------------------------ #
     supports_parallel_training = True
 
     def begin_collect(self, sample_seed: int) -> None:
-        """Enter collect-only mode for one seeded episode (worker side).
+        """Enter collect-only mode for one seeded episode (snapshot side).
 
         ``sample_seed`` deterministically reseeds both sub-agents'
         exploration noise (split via :func:`spawn_seeds` so the two
-        layers stay decorrelated) and clears any transitions a pickled
-        parent left pending.  Episode ends stop triggering updates until
+        layers stay decorrelated) and clears any transitions the pickled
+        snapshot carried.  Episode ends stop triggering updates until
         :meth:`take_collected` disarms the mode.
         """
         ext_seed, inn_seed = spawn_seeds(int(sample_seed), 2)
@@ -282,7 +283,7 @@ class ChironAgent(IncentiveMechanism):
         return collected
 
     def absorb_collected(self, collected: Dict[str, dict]) -> None:
-        """Fold one worker episode into the parent's buffers/normalizers."""
+        """Fold one collected episode into the live buffers/normalizers."""
         self.exterior.absorb_collected(collected["exterior"])
         self.inner.absorb_collected(collected["inner"])
 

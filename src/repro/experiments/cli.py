@@ -90,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size for grid experiments (results are "
-        "identical for any value; see docs/parallel.md)",
+        help="process-pool size for the grid experiments (fig4-fig6, "
+        "table1) and the tournament; the other experiments run in one "
+        "process. Results are identical for any value (see "
+        "docs/parallel.md)",
     )
     p_run.add_argument("--out", help="directory for JSON payloads")
     p_run.add_argument(

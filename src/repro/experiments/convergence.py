@@ -75,16 +75,11 @@ def run_convergence(
     smoothing_window: int = 10,
     max_rounds: int = 300,
     metric: str = "exterior",
-    workers: int = 1,
 ) -> ConvergenceResult:
     """Train ``mechanism_name`` and return its episode-reward convergence.
 
-    ``workers > 1`` collects trajectories through the parallel training
-    engine with a training seed derived from ``seed`` (deterministic
-    mode — the same worker count always reproduces the same curve, and
-    any worker count produces the same curve as ``workers`` absent only
-    when the run was seeded the same way).  ``workers == 1`` keeps the
-    historical sequential path bit-for-bit.
+    One sequential training run in this process, a pure function of the
+    arguments.
     """
     check_positive("episodes", episodes)
     if metric not in ("exterior", "system"):
@@ -103,16 +98,7 @@ def run_convergence(
     mechanism = make_mechanism(
         mechanism_name, build.env, rng=seeds.generator("mechanism"), tier=tier
     )
-    if workers != 1:
-        # Parallel collection needs explicit per-episode seeds; derive
-        # the training seed from the experiment's root so the curve is a
-        # pure function of (seed, workers-independent engine contract).
-        train_seed = int(seeds.integers("train-parallel", 1)[0])
-        history = train_mechanism(
-            build.env, mechanism, episodes, workers=workers, seed=train_seed
-        )
-    else:
-        history = train_mechanism(build.env, mechanism, episodes)
+    history = train_mechanism(build.env, mechanism, episodes)
     if metric == "system":
         rewards = np.array(
             [e.reward_exterior + e.reward_inner for e in history.episodes]

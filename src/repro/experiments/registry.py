@@ -33,25 +33,20 @@ class ExperimentSpec:
     """One reproducible figure/table.
 
     Runners take ``(scale, seed, workers=1, journal=None)``.  Grid
-    experiments (the budget sweeps, Table I) fan their cells over a
-    :mod:`repro.parallel` process pool when ``workers > 1`` — results
-    are worker-count-invariant by the engine's determinism contract —
-    and honour ``journal`` (a path) for crash-safe resume via
+    experiments (the budget sweeps, Table I, the tournament) fan their
+    cells over a :mod:`repro.parallel` process pool when ``workers > 1``
+    — results are worker-count-invariant by the engine's determinism
+    contract — and honour ``journal`` (a path) for crash-safe resume via
     :mod:`repro.resilience`.  Single-training-run experiments (the
-    convergence figures) fan *trajectory collection* over the pool
-    instead (:func:`repro.parallel.train_parallel`, deterministic
-    mode), equally worker-count invariant; they ignore ``journal``.
+    convergence figures, the λ sweep) run in this process and ignore
+    both ``workers`` and ``journal``, so their output is the same for
+    any worker count.
     """
 
     exp_id: str
     description: str
     #: (scale, seed, workers=1, journal=None) -> output
     runner: Callable[..., RunnerOutput]
-
-    # NOTE on ``workers`` semantics per experiment family: grid
-    # experiments fan *cells* over the pool; convergence (single
-    # training run) experiments fan *trajectory collection* over it via
-    # repro.parallel.train_parallel — both worker-count invariant.
 
 
 def _scale_params(scale: str, quick: dict, paper: dict) -> dict:
@@ -63,7 +58,7 @@ def _scale_params(scale: str, quick: dict, paper: dict) -> dict:
 
 
 def _fig3(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single training run: ``workers`` parallelizes trajectory collection.
+    # Single training run: ``workers``/``journal`` ignored.
     params = _scale_params(
         scale,
         quick=dict(episodes=120, tier="quick"),
@@ -71,7 +66,7 @@ def _fig3(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput
     )
     result = run_convergence(
         mechanism_name="chiron", task="mnist", n_nodes=5, budget=60.0,
-        seed=seed, metric="system", workers=workers, **params,
+        seed=seed, metric="system", **params,
     )
     return result.to_payload(), render_convergence(result)
 
@@ -100,7 +95,7 @@ def _budget_sweep_fig(task: str):
 
 
 def _fig7a(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single training run: ``workers`` parallelizes trajectory collection.
+    # Single training run: ``workers``/``journal`` ignored.
     params = _scale_params(
         scale,
         quick=dict(episodes=40, tier="quick"),
@@ -108,13 +103,13 @@ def _fig7a(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutpu
     )
     result = run_convergence(
         mechanism_name="chiron", task="mnist", n_nodes=100, budget=300.0,
-        seed=seed, max_rounds=150, workers=workers, **params,
+        seed=seed, max_rounds=150, **params,
     )
     return result.to_payload(), render_convergence(result)
 
 
 def _fig7b(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single training run: ``workers`` parallelizes trajectory collection.
+    # Single training run: ``workers``/``journal`` ignored.
     params = _scale_params(
         scale,
         quick=dict(episodes=40, tier="quick"),
@@ -122,7 +117,7 @@ def _fig7b(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutpu
     )
     result = run_convergence(
         mechanism_name="drl_single", task="mnist", n_nodes=100, budget=300.0,
-        seed=seed, max_rounds=150, workers=workers, **params,
+        seed=seed, max_rounds=150, **params,
     )
     return result.to_payload(), render_convergence(result)
 

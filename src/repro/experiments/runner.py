@@ -206,33 +206,12 @@ def run_episodes_vectorized(
     return completed
 
 
-def _spawn_available() -> bool:
-    """Whether this platform can start ``spawn`` worker processes."""
-    import sys
-
-    if sys.platform in ("emscripten", "wasi"):
-        return False
-    try:
-        import multiprocessing as mp
-
-        mp.get_context("spawn")
-    except (ImportError, ValueError):  # pragma: no cover - exotic platform
-        return False
-    return True
-
-
-#: One-time flag for the no-spawn fallback warning (module-level so the
-#: warning fires once per process, not once per training run).
-_warned_no_spawn = False
-
-
 def train_mechanism(
     env: Union[EdgeLearningEnv, VectorizedEdgeLearningEnv],
     mechanism: IncentiveMechanism,
     episodes: int,
     log_every: Optional[int] = None,
     num_envs: int = 1,
-    workers: int = 1,
     seed: Optional[int] = None,
     sync_every: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
@@ -247,17 +226,13 @@ def train_mechanism(
     via :func:`run_episodes_vectorized` (vector-capable mechanisms only);
     the history then lists episodes in completion order.
 
-    ``workers > 1`` (or any explicit ``seed``) routes through the
-    parallel training engine (:func:`repro.parallel.train_parallel`):
-    trajectory collection fans out over seeded hermetic episodes while
-    every weight update stays in this process.  Requires a mechanism
+    An explicit ``seed`` (or ``sync_every``) routes through the seeded
+    round engine (:func:`repro.parallel.train_parallel`): every episode
+    of a round is collected on a copy of one policy snapshot with its
+    own spawned seeds, then one update runs.  Requires a mechanism
     supporting the collect protocol (``supports_parallel_training``) and
-    an explicit ``seed`` — the per-episode seeds are what make pooled
-    collection deterministic.  The history is bit-identical for any
-    worker count (including ``workers=1``).  ``sync_every`` sets episodes
-    collected per policy snapshot.  On platforms that cannot spawn
-    subprocesses, ``workers > 1`` falls back to in-process collection
-    with a one-time warning — same results, no parallelism.
+    an explicit ``seed``.  ``sync_every`` sets episodes collected per
+    policy snapshot.
 
     ``checkpoint_every=N`` (with ``checkpoint_dir``) makes the run
     *crash-safe*: every N completed episodes the mechanism's
@@ -271,44 +246,31 @@ def train_mechanism(
     :class:`~repro.resilience.signals.ShutdownGuard`) stops at the next
     episode (or round) boundary on SIGTERM/SIGINT, writing a final
     checkpoint when checkpointing is configured; the returned history is
-    then partial.  ``journal`` is forwarded to the parallel engine for
-    crash-drill liveness records (sequential runs ignore it).
+    then partial.  ``journal`` is forwarded to the round engine for
+    crash-drill liveness records (unseeded runs ignore it).
     """
-    global _warned_no_spawn
     check_positive("episodes", episodes)
     check_positive("num_envs", num_envs)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    parallel = workers != 1 or seed is not None or sync_every is not None
-    if parallel:
+    if seed is not None or sync_every is not None:
         if num_envs > 1 or isinstance(env, VectorizedEdgeLearningEnv):
             raise ValueError(
-                "parallel training requires num_envs=1: vectorized "
-                "replicas and pooled trajectory collection are two "
-                "different batching axes — pick one"
+                "seeded round training requires num_envs=1: vectorized "
+                "replicas and seeded rounds are two different batching "
+                "axes — pick one"
             )
         if seed is None:
             raise ValueError(
-                "train_mechanism(workers>1) requires an explicit seed: "
-                "per-episode env/exploration seeds are what make pooled "
-                "trajectory collection deterministic"
+                "train_mechanism(sync_every=...) requires an explicit "
+                "seed: per-episode env/exploration seeds are what make "
+                "round training deterministic"
             )
         if not getattr(mechanism, "supports_parallel_training", False):
             raise TypeError(
-                f"mechanism {mechanism.name!r} does not support parallel "
-                "training (no collect protocol); use "
-                "repro.parallel.run_sweep to parallelize across "
-                "independent (mechanism, budget, seed) runs instead"
+                f"mechanism {mechanism.name!r} does not support seeded "
+                "round training (no collect protocol); train it unseeded, "
+                "or use repro.parallel.run_sweep to parallelize across "
+                "independent (mechanism, budget, seed) runs"
             )
-        if workers > 1 and not _spawn_available():
-            if not _warned_no_spawn:
-                _log.warning(
-                    "platform cannot spawn subprocesses; falling back to "
-                    "in-process trajectory collection (workers=1) — "
-                    "results are identical, wall-clock is not"
-                )
-                _warned_no_spawn = True
-            workers = 1
         from repro.parallel.training import train_parallel
 
         return train_parallel(
@@ -316,7 +278,6 @@ def train_mechanism(
             mechanism,
             episodes,
             seed=seed,
-            workers=workers,
             sync_every=sync_every,
             log_every=log_every,
             checkpoint_every=checkpoint_every,

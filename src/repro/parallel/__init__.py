@@ -19,9 +19,9 @@ Layout:
   registry snapshots, ``RunningMeanStd`` Chan merge).
 * :mod:`repro.parallel.engine` — ``run_sweep`` + the standard experiment
   grid builder, with result fingerprints proving worker-count invariance.
-* :mod:`repro.parallel.training` — ``train_parallel``: A3C-style
-  trajectory collection *within* one training run, worker-count
-  invariant.
+* :mod:`repro.parallel.training` — ``train_parallel``: seeded round
+  training of one mechanism, in process (collect a round of episodes
+  against one snapshot, then update).
 """
 
 from repro.parallel.engine import SweepResult, grid_items, run_sweep
@@ -31,7 +31,6 @@ from repro.parallel.items import (
     eval_item,
     execute,
     sweep_item,
-    train_item,
 )
 from repro.parallel.merge import (
     merge_profiles,
@@ -42,7 +41,6 @@ from repro.parallel.pool import (
     ItemFailure,
     PoolConfig,
     PoolReport,
-    WorkerPool,
     run_items,
 )
 from repro.parallel.seeds import episode_seeds, item_sequence, sweep_item_seeds
@@ -60,7 +58,6 @@ __all__ = [
     "sweep_item",
     "eval_item",
     "capture_item",
-    "train_item",
     "episodes_from_dicts",
     "execute",
     "merge_snapshots",
@@ -69,7 +66,6 @@ __all__ = [
     "PoolConfig",
     "PoolReport",
     "ItemFailure",
-    "WorkerPool",
     "run_items",
     "episode_seeds",
     "sweep_item_seeds",

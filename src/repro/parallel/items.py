@@ -24,11 +24,6 @@ Item kinds:
   :func:`repro.experiments.runner.evaluate_mechanism`).
 * ``capture`` — golden-trace capture of a named differential scenario
   (the ``parallel_w4`` variant).
-* ``train`` — one seeded trajectory-collection episode for the parallel
-  training engine (:mod:`repro.parallel.training`): the payload carries
-  a ``pickle.dumps((env, mechanism))`` snapshot of the current round
-  plus explicit env/sampler seeds, and the worker returns the collected
-  transitions without applying any update.
 * test kinds (``echo`` / ``fail`` / ``flaky`` / ``crash`` / ``hang`` /
   ``unpicklable``) — deliberately misbehaving items exercising the
   pool's retry, quarantine, crash and serialization paths.
@@ -49,7 +44,6 @@ __all__ = [
     "sweep_item",
     "eval_item",
     "capture_item",
-    "train_item",
     "episodes_from_dicts",
 ]
 
@@ -95,27 +89,6 @@ def eval_item(bundle: bytes, seeds: List[Optional[int]]) -> Dict[str, Any]:
 def capture_item(scenario: str) -> Dict[str, Any]:
     """Golden-trace capture of a registered differential scenario."""
     return {"kind": "capture", "scenario": scenario}
-
-
-def train_item(
-    bundle: bytes, episode_index: int, env_seed: int, sample_seed: int
-) -> Dict[str, Any]:
-    """One seeded collection episode against a round snapshot.
-
-    ``bundle`` is ``pickle.dumps((env, mechanism))`` taken at the start
-    of the training round (one dump shared by every episode of the
-    round, preserving the ``mechanism.env is env`` identity).  The
-    worker replays exactly one episode — env stochastics pinned by
-    ``env_seed``, exploration noise by ``sample_seed`` — and ships the
-    collected transitions back; the parent owns every weight update.
-    """
-    return {
-        "kind": "train",
-        "bundle": bundle,
-        "episode_index": int(episode_index),
-        "env_seed": int(env_seed),
-        "sample_seed": int(sample_seed),
-    }
 
 
 def episodes_from_dicts(rows: List[Dict[str, Any]]) -> List[EpisodeResult]:
@@ -199,24 +172,6 @@ def _run_eval(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"episodes": rows}
 
 
-def _run_train(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.runner import run_episode
-
-    env, mechanism = pickle.loads(payload["bundle"])
-    if hasattr(mechanism, "train_mode"):
-        mechanism.train_mode()
-    mechanism.begin_collect(payload["sample_seed"])
-    result, diagnostics = run_episode(
-        env, mechanism, seed=payload["env_seed"]
-    )
-    return {
-        "episode_index": payload["episode_index"],
-        "episode": dataclasses.asdict(result),
-        "diagnostics": {k: float(v) for k, v in diagnostics.items()},
-        "collected": mechanism.take_collected(),
-    }
-
-
 def _run_capture(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.testing.scenarios import capture, get_scenario
 
@@ -257,8 +212,6 @@ def execute(payload: Dict[str, Any]) -> Dict[str, Any]:
         return _run_sweep(payload)
     if kind == "eval":
         return _run_eval(payload)
-    if kind == "train":
-        return _run_train(payload)
     if kind == "capture":
         return _run_capture(payload)
     return _run_test_kind(payload)

@@ -57,7 +57,6 @@ __all__ = [
     "PoolConfig",
     "ItemFailure",
     "PoolReport",
-    "WorkerPool",
     "run_items",
     "resolve_callable",
 ]
@@ -351,32 +350,21 @@ def run_items(
             on_quarantine=on_quarantine,
             should_stop=should_stop,
         )
-    with WorkerPool(fn_path=fn_path, config=config) as pool:
-        return pool.run(
-            payloads,
-            on_result=on_result,
-            on_quarantine=on_quarantine,
-            should_stop=should_stop,
-        )
+    return WorkerPool(fn_path=fn_path, config=config).run(
+        payloads,
+        on_result=on_result,
+        on_quarantine=on_quarantine,
+        should_stop=should_stop,
+    )
 
 
 class WorkerPool:
-    """A persistent, reusable incarnation of the crash-contained pool.
+    """One batch of :func:`run_items` over spawned worker processes.
 
-    :func:`run_items` spawns workers, runs one batch, and tears the pool
-    down — the right shape for a one-shot sweep, but a round-based
-    training loop dispatches a small batch every round and would pay the
-    interpreter+numpy spawn cost (seconds) each time.  ``WorkerPool``
-    spawns once and lets :meth:`run` be called many times; workers stay
-    alive (idle) between batches.  Failure semantics per batch are
-    identical to :func:`run_items` — retries, quarantine, per-run respawn
-    budget — and dead workers are revived for free at the next batch
-    (the budget only bounds respawns *within* one batch).
-
-    With ``config.workers <= 1`` every batch executes in-process, which
-    keeps callers free of special cases.  Use as a context manager or
-    call :meth:`shutdown` explicitly; an exception escaping :meth:`run`
-    shuts the pool down before propagating.
+    Single-use: :meth:`run` spawns ``min(workers, len(payloads))``
+    workers, executes the batch — retries, quarantine, respawn budget and
+    timeouts as documented on :func:`run_items` — and always shuts the
+    workers down before returning or raising.
     """
 
     def __init__(
@@ -389,12 +377,6 @@ class WorkerPool:
         self._ctx = mp.get_context(self.config.mp_context)
         self._slots: List[_Slot] = []
         self._closed = False
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -421,39 +403,6 @@ class WorkerPool:
         slot.recv_buf = bytearray()
         slot.conn_eof = False
         slot.busy_index = None
-
-    def _ensure_slots(self, n_items: int) -> None:
-        """Grow to the batch's slot count and revive dead workers."""
-        needed = min(self.config.workers, max(n_items, 1))
-        while len(self._slots) < needed:
-            self._slots.append(_Slot(len(self._slots)))
-        for slot in self._slots:
-            if not slot.alive:
-                self._spawn(slot)
-
-    def _discard_stale(self) -> None:
-        """Drop frames left over from a previous (interrupted) batch.
-
-        A batch that exits abnormally can leave settled-but-unread
-        messages in a pipe; their item indices belong to the *old*
-        batch, so replaying them into a new one would corrupt results.
-        """
-        for slot in self._slots:
-            if slot.result_conn is None or slot.conn_eof:
-                continue
-            while True:
-                try:
-                    if not slot.result_conn.poll(0):
-                        break
-                    chunk = os.read(slot.result_conn.fileno(), 1 << 16)
-                except (OSError, EOFError, BrokenPipeError):
-                    slot.conn_eof = True
-                    break
-                if not chunk:
-                    slot.conn_eof = True
-                    break
-                slot.recv_buf += chunk
-            _parse_frames(slot.recv_buf)
 
     def shutdown(self) -> None:
         """Send sentinels, join, terminate stragglers, close pipes."""
@@ -490,18 +439,9 @@ class WorkerPool:
         on_quarantine: Optional[Callable[[ItemFailure], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> PoolReport:
-        """Execute one batch; semantics match :func:`run_items`."""
+        """Execute the batch; semantics match :func:`run_items`."""
         if self._closed:
             raise RuntimeError("WorkerPool has been shut down")
-        if self.config.workers <= 1:
-            return _run_inprocess(
-                payloads,
-                self.fn_path,
-                self.config,
-                on_result=on_result,
-                on_quarantine=on_quarantine,
-                should_stop=should_stop,
-            )
         try:
             return self._run_batch(
                 payloads,
@@ -509,9 +449,8 @@ class WorkerPool:
                 on_quarantine=on_quarantine,
                 should_stop=should_stop,
             )
-        except BaseException:
+        finally:
             self.shutdown()
-            raise
 
     def _run_batch(
         self,
@@ -534,8 +473,11 @@ class WorkerPool:
         respawns = 0
         respawn_budget = config.max_respawns
 
-        self._ensure_slots(n)
-        self._discard_stale()
+        self._slots = [
+            _Slot(i) for i in range(min(config.workers, max(n, 1)))
+        ]
+        for slot in self._slots:
+            self._spawn(slot)
         slots = self._slots
 
         def fail_item(

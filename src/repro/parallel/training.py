@@ -1,45 +1,35 @@
-"""Parallel mechanism training: fan trajectory collection out, update in.
+"""Seeded round training: collect a round of episodes, then update.
 
-The sweep engine parallelizes *across* independent runs; this module
-parallelizes *within* one training run, A3C/A2C-style.  Training is a
-sequential chain — episode ``k+1`` must start from the policy episode
-``k`` produced — so the only safely concurrent work is *trajectory
-collection*.  The engine therefore proceeds in synchronous generations
-("rounds") of ``sync_every`` episodes:
+Training is a sequential chain — episode ``k+1`` starts from the policy
+episode ``k`` produced.  This engine trains in synchronous generations
+("rounds") of ``sync_every`` episodes, all in the calling process:
 
-1. **Snapshot** — the parent pickles ``(env, mechanism)`` once per round
-   (a single bundle, preserving the ``mechanism.env is env`` identity,
+1. **Snapshot** — ``(env, mechanism)`` is pickled once per round (a
+   single bundle, preserving the ``mechanism.env is env`` identity,
    exactly like :func:`~repro.parallel.items.eval_item`).
-2. **Collect** — one hermetic ``train`` item per episode of the round
-   fans out over the spawn-safe pool (:class:`~repro.parallel.pool.WorkerPool`,
-   persistent across rounds so the interpreter+numpy spawn cost is paid
-   once).  Each item replays exactly one episode against the snapshot
-   with an explicit env seed and exploration-noise seed, and returns the
-   collected transitions plus the raw observations it saw — **no worker
-   ever updates a weight**.
-3. **Merge** — the parent ingests episodes in *seed order* (submission
-   order, not arrival order): raw observations replay row-by-row through
-   the live normalizer (bit-identical to the per-step updates a local
+2. **Collect** — each episode of the round unpickles its own copy of
+   the snapshot and replays exactly one episode with an explicit env
+   seed and exploration-noise seed, returning the collected transitions
+   plus the raw observations it saw.  No copy ever updates a weight, and
+   the live ``env`` is never stepped.
+3. **Merge** — the round's episodes are folded into the live mechanism
+   in episode order: raw observations replay row by row through the
+   live normalizer (bit-identical to the per-step updates a local
    episode would have performed) and transitions append to the live
    rollout buffer (:meth:`~repro.rl.ppo.PPOAgent.absorb_collected`).
-4. **Update** — the parent runs the PPO update in-process
-   (:meth:`~repro.core.chiron.ChironAgent.apply_update`), so optimizer
-   moments, LR schedules and the minibatch-shuffle stream never cross a
-   pickle boundary.
+4. **Update** — one PPO update per round
+   (:meth:`~repro.core.chiron.ChironAgent.apply_update`).
 
 Determinism contract: the result is a pure function of ``(env,
-mechanism, episodes, seed, sync_every)`` and — because every episode of a
-round is collected against the same snapshot and ingested in seed order
-— **independent of the worker count**.  ``training_fingerprint`` digests
-run at workers 1, 2 and 4 are identical (pinned by the
-``train_w2``/``train_w4`` differential variants and the committed golden
-training trace).  ``sync_every=1`` degenerates to the exact sequential
-collect-then-update-every-episode chain.
+mechanism, episodes, seed, sync_every)``.  Every episode of a round is
+collected against the same snapshot, and episode seeds are spawned off
+``seed`` up front (:func:`~repro.utils.rng.spawn_seeds`), so neither a
+resume point nor a drained round changes the curve.  The committed
+golden training trace pins it.  ``sync_every=1`` degenerates to the
+exact sequential collect-then-update-every-episode chain.
 
-Because collection is seed-driven, the parent's live ``env`` object is
-never stepped — episode stochastics come entirely from the per-episode
-seeds spawned off ``seed`` (:func:`~repro.parallel.seeds.spawn_seeds`
-semantics via :mod:`repro.utils.rng`).
+A seeded episode fails the same way every time it runs, so a failing
+episode raises its own exception at once: there is nothing to retry.
 """
 
 from __future__ import annotations
@@ -52,8 +42,6 @@ from dataclasses import asdict
 from typing import List, Optional
 
 from repro.experiments.results import EpisodeResult, TrainingHistory
-from repro.parallel.items import train_item
-from repro.parallel.pool import PoolConfig, WorkerPool
 from repro.utils.rng import spawn_seeds
 from repro.utils.validation import check_positive
 
@@ -69,9 +57,9 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: Episodes collected per policy snapshot.  A *constant* on purpose:
-#: deriving it from the worker count would make the training trajectory
-#: a function of parallelism and break worker-count invariance.
+#: Episodes collected per policy snapshot.  The update cadence shapes
+#: the trajectory, so it is a plain constant that the golden training
+#: trace and every seeded run depend on.
 DEFAULT_SYNC_EVERY = 4
 
 #: Journal record kinds (see :mod:`repro.resilience.journal`).
@@ -121,15 +109,33 @@ def _round_boundaries(episodes: int, sync_every: int, start: int):
         lo = hi
 
 
+def _collect_episode(bundle: bytes, env_seed: int, sample_seed: int):
+    """Replay one seeded episode on a fresh copy of the round snapshot.
+
+    Returns ``(result, diagnostics, collected)``; the copy is discarded,
+    so the live ``(env, mechanism)`` pair is never touched.
+    """
+    from repro.experiments.runner import run_episode
+
+    env, mechanism = pickle.loads(bundle)
+    if hasattr(mechanism, "train_mode"):
+        mechanism.train_mode()
+    mechanism.begin_collect(sample_seed)
+    result, diagnostics = run_episode(env, mechanism, seed=env_seed)
+    return (
+        result,
+        {k: float(v) for k, v in diagnostics.items()},
+        mechanism.take_collected(),
+    )
+
+
 def train_parallel(
     env,
     mechanism,
     episodes: int,
     *,
     seed: int,
-    workers: int = 1,
     sync_every: Optional[int] = None,
-    pool_config: Optional[PoolConfig] = None,
     log_every: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
@@ -137,11 +143,10 @@ def train_parallel(
     guard=None,
     journal=None,
 ) -> TrainingHistory:
-    """Train ``mechanism`` with parallel trajectory collection.
+    """Train ``mechanism`` in seeded rounds of ``sync_every`` episodes.
 
-    The generation-based engine described in the module docstring.
-    ``seed`` pins the per-episode env/exploration seeds and is required:
-    seeded hermetic episodes are what make collection order-free.
+    The round engine described in the module docstring.  ``seed`` pins
+    the per-episode env/exploration seeds and is required.
 
     ``checkpoint_every=N`` (with ``checkpoint_dir``) persists the
     mechanism's full-fidelity checkpoint at every round boundary that
@@ -149,22 +154,20 @@ def train_parallel(
     against the same directory continues bitwise-identically — resumed
     fingerprints equal uninterrupted ones (pinned by the
     kill-mid-training chaos drill).  ``guard`` (a
-    :class:`~repro.resilience.signals.ShutdownGuard`) stops cleanly at
-    the next round boundary, discarding any half-collected round.
-    ``journal`` (a :class:`~repro.resilience.journal.RunJournal`)
-    receives a ``train_header`` record plus one ``train_round`` record
-    per settled round — the liveness signal the chaos drill watches.
+    :class:`~repro.resilience.signals.ShutdownGuard`) is checked before
+    each episode; a drained round is discarded unabsorbed, so the run
+    stops at the last whole round.  ``journal`` (a
+    :class:`~repro.resilience.journal.RunJournal`) receives a
+    ``train_header`` record plus one ``train_round`` record per settled
+    round — the liveness signal the chaos drill watches.
 
-    Quarantined collection items (an episode that kept failing past the
-    pool's retry budget) raise ``RuntimeError``: unlike a sweep, a
-    training run cannot tolerate holes in its episode sequence.
+    An exception raised by an episode propagates unchanged.
     """
     check_positive("episodes", episodes)
-    check_positive("workers", workers)
     if seed is None:
         raise ValueError(
             "train_parallel requires an explicit seed: per-episode env "
-            "and exploration seeds are what make parallel collection "
+            "and exploration seeds are what make round training "
             "deterministic"
         )
     if sync_every is None:
@@ -173,9 +176,9 @@ def train_parallel(
     if not getattr(mechanism, "supports_parallel_training", False):
         raise TypeError(
             f"mechanism {getattr(mechanism, 'name', mechanism)!r} does not "
-            "support parallel training (no begin_collect/take_collected "
-            "protocol); use repro.parallel.run_sweep to parallelize "
-            "across independent runs instead"
+            "support seeded round training (no begin_collect/"
+            "take_collected protocol); use repro.parallel.run_sweep to "
+            "parallelize across independent runs instead"
         )
     checkpointing = checkpoint_every is not None or checkpoint_dir is not None
     if checkpointing:
@@ -215,7 +218,7 @@ def train_parallel(
                 )
 
     # One seed per episode, spawned up front: episode e's seeds do not
-    # depend on sync_every, workers, or resume point.
+    # depend on sync_every or the resume point.
     ep_seeds = spawn_seeds(int(seed), episodes)
 
     if journal is not None:
@@ -226,7 +229,6 @@ def train_parallel(
                 "episodes": int(episodes),
                 "seed": int(seed),
                 "sync_every": int(sync_every),
-                "workers": int(workers),
                 "start_episode": int(start_episode),
             },
         )
@@ -247,63 +249,41 @@ def train_parallel(
                 result.mean_time_efficiency,
             )
 
-    def ingest(payload: dict) -> None:
-        """Fold one collected episode into the parent, in call order."""
-        result = EpisodeResult(**payload["episode"])
-        mechanism.absorb_collected(payload["collected"])
-        history.append(result, dict(payload["diagnostics"]))
-        log_episode(payload["episode_index"], result)
-
-    config = pool_config or PoolConfig(workers=workers)
-    should_stop = (
-        (lambda: guard.draining) if guard is not None else None
-    )
     interrupted = False
-    with WorkerPool(config=config) as pool:
-        for lo, hi in _round_boundaries(episodes, sync_every, start_episode):
+    for lo, hi in _round_boundaries(episodes, sync_every, start_episode):
+        bundle = pickle.dumps((env, mechanism))
+        collected = []
+        for e in range(lo, hi):
             if guard is not None and guard.draining:
                 interrupted = True
                 break
-            bundle = pickle.dumps((env, mechanism))
-            items = []
-            for e in range(lo, hi):
-                env_seed, sample_seed = spawn_seeds(int(ep_seeds[e]), 2)
-                items.append(train_item(bundle, e, env_seed, sample_seed))
-            report = pool.run(items, should_stop=should_stop)
-            if report.quarantined:
-                failure = report.quarantined[0]
-                raise RuntimeError(
-                    "parallel training episode "
-                    f"{lo + failure.index} failed after "
-                    f"{failure.attempts} attempts: {failure.errors[-1]}"
-                )
-            if report.interrupted:
-                # Guard drained mid-round: the deterministic contract
-                # only holds for whole rounds, so discard the partial
-                # round (none of it was ingested) and stop at the
-                # previous boundary.
-                interrupted = True
-                break
-            # Seed-ordered reduction: results are indexed by submission
-            # order, so this is exactly episode order.
-            for payload in report.results:
-                ingest(payload)
-            stats = mechanism.apply_update()
-            if stats:
-                history.diagnostics[-1].update(stats)
+            env_seed, sample_seed = spawn_seeds(int(ep_seeds[e]), 2)
+            collected.append(_collect_episode(bundle, env_seed, sample_seed))
+        if interrupted:
+            # The deterministic contract only holds for whole rounds:
+            # discard the partial round (none of it was absorbed) and
+            # stop at the previous boundary.
+            break
+        for e, (result, diagnostics, trajectory) in enumerate(collected, lo):
+            mechanism.absorb_collected(trajectory)
+            history.append(result, diagnostics)
+            log_episode(e, result)
+        stats = mechanism.apply_update()
+        if stats:
+            history.diagnostics[-1].update(stats)
 
-            if checkpointing and (
-                hi // checkpoint_every > lo // checkpoint_every
-                or hi >= episodes
-            ):
-                save_training_checkpoint(
-                    checkpoint_dir, mechanism, env, history, hi
-                )
-            if journal is not None:
-                journal.append(
-                    KIND_TRAIN_ROUND,
-                    {"round": lo // sync_every, "episodes_done": hi},
-                )
+        if checkpointing and (
+            hi // checkpoint_every > lo // checkpoint_every
+            or hi >= episodes
+        ):
+            save_training_checkpoint(
+                checkpoint_dir, mechanism, env, history, hi
+            )
+        if journal is not None:
+            journal.append(
+                KIND_TRAIN_ROUND,
+                {"round": lo // sync_every, "episodes_done": hi},
+            )
 
     if interrupted and checkpointing and len(history) > start_episode:
         # Drained by the guard: persist the boundary we stopped at so

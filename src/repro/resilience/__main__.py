@@ -12,7 +12,7 @@ Commands::
     train-resume-test
                  kill-mid-training drill: SIGKILL a live checkpointed
                  ``train_parallel`` run after >= 1 settled round, resume
-                 with workers, require the resumed training fingerprint
+                 in process, require the resumed training fingerprint
                  and final checkpoint digest to equal an uninterrupted
                  run's.
     inspect      summarize a journal file (records by kind, completion).
@@ -68,7 +68,6 @@ def _cmd_train_resume_test(args: argparse.Namespace) -> int:
     from repro.resilience.chaos import run_kill_resume_training
 
     report = run_kill_resume_training(
-        workers=args.workers,
         seed=args.seed,
         kill_after_rounds=args.kill_after,
     )
@@ -118,7 +117,6 @@ def _cmd_child_train(args: argparse.Namespace) -> int:
             mechanism,
             TRAIN_DRILL["episodes"],
             seed=args.seed,
-            workers=args.workers,
             sync_every=TRAIN_DRILL["sync_every"],
             checkpoint_every=TRAIN_DRILL["checkpoint_every"],
             checkpoint_dir=args.dir,
@@ -157,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SIGKILL a live checkpointed training run, resume, compare",
     )
     p_train_resume.add_argument("--seed", type=int, default=0)
-    p_train_resume.add_argument("--workers", type=int, default=2)
     p_train_resume.add_argument(
         "--kill-after",
         type=int,
@@ -178,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_child_train = sub.add_parser("_child-train")
     p_child_train.add_argument("--seed", type=int, default=0)
-    p_child_train.add_argument("--workers", type=int, default=2)
     p_child_train.add_argument("--journal", required=True)
     p_child_train.add_argument("--dir", required=True)
     p_child_train.set_defaults(func=_cmd_child_train)

@@ -20,8 +20,8 @@ Two proofs, both runnable from CI (``python -m repro.resilience``):
   launch a checkpointed, journaled
   :func:`~repro.parallel.training.train_parallel` run in a subprocess,
   ``SIGKILL`` its process group once the journal shows at least one
-  settled training round, resume from the checkpoint directory with
-  workers, and require both the resumed run's
+  settled training round, resume in process from the checkpoint
+  directory, and require both the resumed run's
   :func:`~repro.parallel.training.training_fingerprint` and its final
   checkpoint's :func:`~repro.resilience.training.checkpoint_digest` to
   equal an uninterrupted run's, again with no survivor in the group.
@@ -445,7 +445,6 @@ def kill_resume_training_setup(seed: int = 0):
 
 
 def run_kill_resume_training(
-    workers: int = 2,
     seed: int = 0,
     scratch_dir: Optional[str] = None,
     kill_after_rounds: int = 1,
@@ -453,15 +452,13 @@ def run_kill_resume_training(
 ) -> Dict[str, object]:
     """SIGKILL a live checkpointed training run mid-curve, resume, compare.
 
-    1. Run the drill recipe uninterrupted (``workers=1``) → golden
-       training fingerprint + golden final-checkpoint digest.
+    1. Run the drill recipe uninterrupted → golden training fingerprint
+       + golden final-checkpoint digest.
     2. Launch ``python -m repro.resilience _child-train`` (a real
-       journaled, checkpointed ``train_parallel`` with ``workers``) in
-       its own session and SIGKILL its whole process group once the
-       journal holds ``kill_after_rounds`` settled ``train_round``
-       records.
-    3. Resume in this process from the child's checkpoint directory,
-       again with ``workers``.
+       journaled, checkpointed ``train_parallel``) in its own session
+       and SIGKILL its whole process group once the journal holds
+       ``kill_after_rounds`` settled ``train_round`` records.
+    3. Resume in this process from the child's checkpoint directory.
     4. Require resumed fingerprint == golden fingerprint AND resumed
        final-checkpoint digest == golden final-checkpoint digest AND no
        process of the killed group left alive (``survivors == 0``).
@@ -487,7 +484,6 @@ def run_kill_resume_training(
         mechanism,
         TRAIN_DRILL["episodes"],
         seed=seed,
-        workers=1,
         sync_every=TRAIN_DRILL["sync_every"],
         checkpoint_every=TRAIN_DRILL["checkpoint_every"],
         checkpoint_dir=str(golden_dir),
@@ -502,8 +498,6 @@ def run_kill_resume_training(
             journal_path,
             "--dir",
             str(drill_dir),
-            "--workers",
-            str(workers),
             "--seed",
             str(seed),
         ],
@@ -520,7 +514,6 @@ def run_kill_resume_training(
             mechanism,
             TRAIN_DRILL["episodes"],
             seed=seed,
-            workers=workers,
             sync_every=TRAIN_DRILL["sync_every"],
             checkpoint_every=TRAIN_DRILL["checkpoint_every"],
             checkpoint_dir=str(drill_dir),

@@ -74,8 +74,8 @@ class GaussianPolicy(Module):
     def reseed_sampler(self, seed: int) -> None:
         """Rebase the exploration-noise stream on ``seed``.
 
-        Parallel trajectory collection pins each worker's action noise
-        to a per-episode seed so a collected episode is a pure function
+        Seeded trajectory collection pins each episode's action noise
+        to its own seed so a collected episode is a pure function
         of ``(policy weights, episode seed)`` — independent of how many
         episodes this policy object sampled before.
         """

@@ -163,8 +163,8 @@ class PPOAgent:
         # their episode ends, so GAE never sees interleaved episodes.
         self._staged: List[RolloutBuffer] = []
         # Armed by begin_collect(): raw (pre-normalization) observations
-        # captured alongside the buffered transitions so the parent of a
-        # parallel collection can replay them through its own normalizer.
+        # captured alongside the buffered transitions so the live agent
+        # can replay them through its own normalizer.
         self._collect_raw: Optional[list] = None
 
     # ------------------------------------------------------------------ #
@@ -244,16 +244,16 @@ class PPOAgent:
         self.buffer.push(self._normalize(obs), action, reward, value, log_prob, done)
 
     # ------------------------------------------------------------------ #
-    # parallel trajectory collection
+    # seeded trajectory collection
     # ------------------------------------------------------------------ #
     def begin_collect(self, sample_seed: int) -> None:
-        """Enter collect-only mode for one seeded episode (worker side).
+        """Enter collect-only mode for one seeded episode (snapshot side).
 
         Rebases the exploration-noise stream on ``sample_seed`` and
         empties the rollout buffer, so the trajectory this agent collects
         is a pure function of ``(weights, obs-normalizer state,
-        sample_seed, env seed)`` — any transitions a pickled parent left
-        pending stay with the parent, never duplicated through a worker.
+        sample_seed, env seed)`` — any transitions the live agent holds
+        stay with it, never duplicated through a snapshot copy.
         """
         self.policy.reseed_sampler(sample_seed)
         self.buffer.clear()
@@ -279,14 +279,14 @@ class PPOAgent:
         return state
 
     def absorb_collected(self, traj: dict) -> None:
-        """Fold one collected episode into this (parent) agent.
+        """Fold one collected episode into this (live) agent.
 
         Raw observations are replayed *row by row* through the live
         normalizer — bit-identical to the per-step updates :meth:`act`
         would have performed had the episode run here — and the buffered
-        transitions are appended in step order.  Callers feed episodes in
-        seed order, which is what makes parallel collection worker-count
-        invariant.
+        transitions are appended in step order.  The round engine feeds
+        episodes in episode order, so a round's merge is a pure function
+        of its seeds.
         """
         raw = traj.get("raw_obs")
         if self.obs_stat is not None and raw is not None:

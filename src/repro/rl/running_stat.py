@@ -70,11 +70,11 @@ class RunningMeanStd:
         """Combine independently accumulated stats (Chan parallel merge).
 
         Folding ``k`` part-streams is exactly equivalent (to float
-        round-off) to a single stream that saw every batch, so the
-        process-parallel engine can hand each worker its own normalizer
-        and reconcile them afterwards.  Counts are taken as-is: give
-        secondary parts ``epsilon=0.0`` so the regularizing prior is not
-        counted once per worker.
+        round-off) to a single stream that saw every batch, so
+        part-streams accumulated in separate processes can be reconciled
+        afterwards.  Counts are taken as-is: give secondary parts
+        ``epsilon=0.0`` so the regularizing prior is not counted once per
+        part.
         """
         parts = list(parts)
         if not parts:

@@ -14,7 +14,6 @@ The four sub-systems (see ``docs/testing.md`` for the workflow):
 """
 
 from repro.testing.differential import (
-    TRAIN_VARIANTS,
     VARIANTS,
     DifferentialOutcome,
     matrix_report,
@@ -86,7 +85,6 @@ __all__ = [
     "enable",
     "enabled",
     "VARIANTS",
-    "TRAIN_VARIANTS",
     "DifferentialOutcome",
     "matrix_report",
     "run_matrix",

@@ -47,9 +47,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if with_training:
         reports = list(reports) + [
-            training_golden.verify_training_golden(
-                directory, workers=args.train_workers
-            )
+            training_golden.verify_training_golden(directory)
         ]
     for report in reports:
         print(report.describe())
@@ -113,9 +111,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
     name = training_golden.GOLDEN_TRAINING_NAME
     print(f"{name:<16} (training trace)  golden={status}")
     print(
-        "    Pinned parallel-training curve: "
+        "    Pinned seeded training curve: "
         f"{training_golden.RECIPE['episodes']} episodes of quick-tier "
-        "Chiron on the population_n5 fleet (worker-count invariant)."
+        "Chiron on the population_n5 fleet, "
+        f"{training_golden.RECIPE['sync_every']} episodes per round."
     )
     return 0
 
@@ -132,15 +131,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--dir", default=None, help="golden directory override")
     p_verify.add_argument("--rtol", type=float, default=0.0)
     p_verify.add_argument("--atol", type=float, default=0.0)
-    p_verify.add_argument(
-        "--train-workers",
-        type=int,
-        default=1,
-        help=(
-            "worker count for the golden training-trace verification "
-            "run (any value must reproduce the same fingerprint)"
-        ),
-    )
     p_verify.add_argument(
         "--update",
         action="store_true",

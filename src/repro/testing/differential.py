@@ -30,13 +30,6 @@ Variants (each compared bit-exactly against its reference):
                     (:mod:`repro.resilience`), then *replayed* from the
                     journal without executing — the round-tripped trace
                     must be bit-identical (crash/resume changes nothing)
-``train_w2``        a short Chiron *training* run on the scenario's
-``train_w4``        fleet with trajectory collection fanned over 2 (4)
-                    worker processes
-                    (:func:`repro.parallel.train_parallel`, deterministic
-                    mode) vs the identical run at ``workers=1`` — every
-                    episode result and diagnostic must be bit-identical
-                    (worker count changes wall-clock, never the curve)
 ==================  ====================================================
 
 Faults on/off is the *scenario* axis: running the matrix over both the
@@ -77,17 +70,10 @@ VARIANTS = (
     "vector_m4",
     "parallel_w4",
     "journal_replay",
-    "train_w2",
-    "train_w4",
 )
 
-#: The parallel-training identity variants: a seeded Chiron training run
-#: with collection fanned over N workers vs the same run at workers=1.
-TRAIN_VARIANTS = ("train_w2", "train_w4")
-
 #: The subset that applies to mechanism-driven scenarios — the vectorized
-#: wrapper replays pinned schedules, which a live mechanism doesn't have,
-#: and the train variants build their *own* (Chiron) mechanism.
+#: wrapper replays pinned schedules, which a live mechanism doesn't have.
 MECHANISM_VARIANTS = (
     "rerun",
     "obs_on",
@@ -97,25 +83,14 @@ MECHANISM_VARIANTS = (
     "journal_replay",
 )
 
-#: Training-run shape shared by every train variant.  Short on purpose —
-#: two sync rounds are enough to cross a PPO update boundary at the
-#: quick tier, which is where worker count could plausibly leak in.
-_TRAIN_EPISODES = 6
-_TRAIN_SYNC_EVERY = 2
-
-
 def supported_variants(scenario: Scenario) -> Sequence[str]:
     """The variant set a scenario can run.
 
-    Mechanism-driven scenarios skip the vectorized and training variants
-    (their action stream is the pinned mechanism's own); vectorized
-    scenarios (``num_envs != 1``) skip the training variants (training
-    drives a single sequential env).
+    Mechanism-driven scenarios skip the vectorized variants (their
+    action stream is the pinned mechanism's own).
     """
     if scenario.mechanism is not None:
         return MECHANISM_VARIANTS
-    if scenario.num_envs != 1:
-        return tuple(v for v in VARIANTS if v not in TRAIN_VARIANTS)
     return VARIANTS
 
 
@@ -279,71 +254,6 @@ def _capture_parallel(
     ]
 
 
-def _capture_training(scenario: Scenario, workers: int) -> List[dict]:
-    """A short seeded Chiron training run on the scenario's fleet.
-
-    Builds the scenario's environment, binds a quick-tier Chiron
-    mechanism seeded with ``scenario.mechanism_seed``, and trains for
-    :data:`_TRAIN_EPISODES` episodes through
-    :func:`repro.parallel.train_parallel` (deterministic mode) with
-    trajectory collection fanned over ``workers`` processes.  Returns
-    the canonical per-episode rows
-    (:func:`repro.parallel.training_rows`) — the thing the determinism
-    contract says must not depend on ``workers``.
-    """
-    from repro.experiments.mechanisms import make_mechanism
-    from repro.parallel.training import train_parallel, training_rows
-
-    env = scenario.build_env()
-    mechanism = make_mechanism(
-        "chiron", env, rng=scenario.mechanism_seed, tier="quick"
-    )
-    history = train_parallel(
-        env,
-        mechanism,
-        _TRAIN_EPISODES,
-        seed=scenario.episode_seed,
-        workers=workers,
-        sync_every=_TRAIN_SYNC_EVERY,
-    )
-    return training_rows(history)
-
-
-def _training_divergence(
-    expected: List[dict], actual: List[dict]
-) -> Optional[Divergence]:
-    """First episode/field where two training-row lists disagree.
-
-    Rows are the JSON-canonical output of
-    :func:`repro.parallel.training_rows`; comparison is exact (bitwise
-    float equality), matching the deterministic-mode contract.
-    """
-    if len(expected) != len(actual):
-        return Divergence(
-            replica=0,
-            round_index=None,
-            field="num_episodes",
-            expected=len(expected),
-            actual=len(actual),
-        )
-    for episode, (exp, act) in enumerate(zip(expected, actual)):
-        for section in ("result", "diagnostics"):
-            exp_s, act_s = exp[section], act[section]
-            for key in sorted(set(exp_s) | set(act_s)):
-                marker = object()
-                e = exp_s.get(key, marker)
-                a = act_s.get(key, marker)
-                if e is marker or a is marker or e != a:
-                    return Divergence(
-                        replica=0,
-                        round_index=episode,
-                        field=f"{section}.{key}",
-                        expected=None if e is marker else e,
-                        actual=None if a is marker else a,
-                    )
-    return None
-
-
 def _capture_journal_replay(scenario: Scenario) -> EpisodeTrace:
     """The scenario journaled in-process, then replayed from the journal.
 
@@ -383,26 +293,8 @@ def run_variant(
     ``reference`` (the plain sequential capture) is computed on demand
     when not supplied; ``vector_m4`` ignores it and builds its own
     multi-replica singles reference; ``parallel_w4`` compares against the
-    in-process :func:`~repro.testing.scenarios.capture` of the scenario;
-    the ``train_w*`` variants ignore it too and compare a multi-worker
-    training run against the same run at ``workers=1``.
+    in-process :func:`~repro.testing.scenarios.capture` of the scenario.
     """
-    if variant in TRAIN_VARIANTS:
-        if scenario.mechanism is not None or scenario.num_envs != 1:
-            raise ValueError(
-                f"variant {variant!r} trains a Chiron run on a single "
-                f"sequential env; scenario {scenario.name!r} supports "
-                f"{supported_variants(scenario)}"
-            )
-        expected = _capture_training(scenario, workers=1)
-        workers = int(variant.rsplit("_w", 1)[1])
-        actual = _capture_training(scenario, workers=workers)
-        return DifferentialOutcome(
-            scenario=scenario.name,
-            variant=variant,
-            rounds=len(actual),
-            divergence=_training_divergence(expected, actual),
-        )
     if variant == "parallel_w4":
         expected = capture(scenario)
         divergence = None

@@ -1,15 +1,12 @@
-"""Golden *training* trace: a pinned parallel-training curve.
+"""Golden *training* trace: a pinned seeded training curve.
 
 The episode golden traces (:mod:`repro.testing.golden`) pin what one
 seeded episode computes; this module pins what a short seeded *training
 run* computes — the per-episode results and diagnostics emitted by
 :func:`repro.parallel.train_parallel` on the paper's N=5 fleet
 (the ``population_n5`` scenario's build) with a quick-tier Chiron
-mechanism.  Because deterministic-mode training is worker-count
-invariant, one committed file anchors every worker count: the
-differential ``train_w2``/``train_w4`` variants prove invariance
-*between* worker counts, and this golden pins the absolute numbers
-across commits.
+mechanism — so the round engine's ``sync_every`` semantics and the
+absolute numbers stay fixed across commits.
 
 ``verify`` re-runs the recipe from scratch and compares:
 
@@ -29,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.testing.golden import VerifyReport, golden_path
+from repro.testing.trace import Divergence
 
 #: Stem of the committed golden training-trace file.
 GOLDEN_TRAINING_NAME = "training_chiron_n5"
@@ -49,7 +47,7 @@ RECIPE = {
 }
 
 
-def capture_training(workers: int = 1) -> List[dict]:
+def capture_training() -> List[dict]:
     """Run the pinned recipe and return its canonical training rows."""
     from repro.experiments.mechanisms import make_mechanism
     from repro.parallel.training import train_parallel, training_rows
@@ -68,7 +66,6 @@ def capture_training(workers: int = 1) -> List[dict]:
         mechanism,
         RECIPE["episodes"],
         seed=scenario.episode_seed,
-        workers=workers,
         sync_every=RECIPE["sync_every"],
     )
     return training_rows(history)
@@ -102,18 +99,44 @@ def update_training_golden(directory: Optional[Path] = None) -> Path:
     return path
 
 
-def verify_training_golden(
-    directory: Optional[Path] = None, workers: int = 1
-) -> VerifyReport:
-    """Re-run the pinned recipe and compare against the committed file.
+def _training_divergence(
+    expected: List[dict], actual: List[dict]
+) -> Optional[Divergence]:
+    """First episode/field where two training-row lists disagree.
 
-    ``workers`` picks the worker count of the verification run — any
-    value must reproduce the same fingerprint (the determinism
-    contract), so CI can verify the golden *and* exercise the parallel
-    path in one step.
+    Rows are the JSON-canonical output of
+    :func:`repro.parallel.training_rows`; comparison is exact (bitwise
+    float equality).
     """
+    if len(expected) != len(actual):
+        return Divergence(
+            replica=0,
+            round_index=None,
+            field="num_episodes",
+            expected=len(expected),
+            actual=len(actual),
+        )
+    for episode, (exp, act) in enumerate(zip(expected, actual)):
+        for section in ("result", "diagnostics"):
+            exp_s, act_s = exp[section], act[section]
+            for key in sorted(set(exp_s) | set(act_s)):
+                marker = object()
+                e = exp_s.get(key, marker)
+                a = act_s.get(key, marker)
+                if e is marker or a is marker or e != a:
+                    return Divergence(
+                        replica=0,
+                        round_index=episode,
+                        field=f"{section}.{key}",
+                        expected=None if e is marker else e,
+                        actual=None if a is marker else a,
+                    )
+    return None
+
+
+def verify_training_golden(directory: Optional[Path] = None) -> VerifyReport:
+    """Re-run the pinned recipe and compare against the committed file."""
     from repro.parallel.training import rows_fingerprint
-    from repro.testing.differential import _training_divergence
 
     name = GOLDEN_TRAINING_NAME
     path = training_golden_path(directory)
@@ -157,22 +180,19 @@ def verify_training_golden(
                 f"own rows ({recomputed!r}) — corrupted or hand-edited file"
             ),
         )
-    fresh = capture_training(workers=workers)
+    fresh = capture_training()
     if rows_fingerprint(fresh) == stored:
         return VerifyReport(
             name=name,
             ok=True,
             message=(
                 f"fingerprint {stored} reproduced over "
-                f"{len(fresh)} episodes (workers={workers})"
+                f"{len(fresh)} episodes"
             ),
         )
     return VerifyReport(
         name=name,
         ok=False,
-        message=(
-            f"fresh training run (workers={workers}) diverges from the "
-            f"committed golden trace"
-        ),
+        message="fresh training run diverges from the committed golden trace",
         divergence=_training_divergence(payload["rows"], fresh),
     )

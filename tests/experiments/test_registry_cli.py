@@ -40,6 +40,24 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_experiment("fig3").runner("huge", 0)
 
+    @pytest.mark.parametrize("exp_id", ["fig3", "fig7a", "fig7b"])
+    def test_convergence_figures_ignore_workers(self, exp_id, monkeypatch):
+        # A single training run has nothing to fan out: the payload must
+        # not depend on --workers (shortened so the check stays fast).
+        from repro.experiments import registry
+
+        full = registry.run_convergence
+
+        def short(**kwargs):
+            return full(**{**kwargs, "episodes": 3})
+
+        monkeypatch.setattr(registry, "run_convergence", short)
+        runner = get_experiment(exp_id).runner
+        one, _ = runner("quick", 0, workers=1)
+        two, _ = runner("quick", 0, workers=2)
+        assert len(one["rewards"]) == 3
+        assert two == one
+
 
 class TestMechanismFactory:
     def test_all_names_buildable(self, surrogate_env):

@@ -1,11 +1,5 @@
-"""Parallel training engine: determinism, rounds, checkpoints, guards.
-
-The cheap contracts (purity in the seed, checkpoint/resume
-bit-identity, validation errors) run entirely in-process (``workers=1``
-uses the pool's in-process path — no spawn cost).  The tests that launch real worker processes carry the ``train``
-marker on top of ``parallel``; they are the executable form of the
-worker-count-invariance claim and are slow on 1-core hosts.
-"""
+"""Seeded round training: determinism, rounds, checkpoints, guards,
+failures."""
 
 from __future__ import annotations
 
@@ -37,11 +31,9 @@ def _setup(mech="chiron", rng_seed=0, n_nodes=4):
     return build.env, mechanism
 
 
-def _fingerprint(episodes=6, *, seed=11, workers=1, **kwargs):
+def _fingerprint(episodes=6, *, seed=11, **kwargs):
     env, mechanism = _setup()
-    history = train_parallel(
-        env, mechanism, episodes, seed=seed, workers=workers, **kwargs
-    )
+    history = train_parallel(env, mechanism, episodes, seed=seed, **kwargs)
     return training_fingerprint(history)
 
 
@@ -69,7 +61,7 @@ class TestDeterminism:
 
     def test_rows_shape(self):
         env, mechanism = _setup()
-        history = train_parallel(env, mechanism, 3, seed=5, workers=1)
+        history = train_parallel(env, mechanism, 3, seed=5)
         rows = training_rows(history)
         assert [r["episode"] for r in rows] == [0, 1, 2]
         assert all("reward_exterior" in r["result"] for r in rows)
@@ -109,8 +101,7 @@ class TestValidation:
             )
 
     def test_default_sync_every_is_constant(self):
-        # Deriving the cadence from the worker count would silently break
-        # worker invariance; pin it as a plain constant.
+        # The cadence shapes every seeded run's curve; pin it.
         assert DEFAULT_SYNC_EVERY == 4
 
 
@@ -128,7 +119,6 @@ class TestCheckpointResume:
             mechanism,
             8,
             seed=21,
-            workers=1,
             sync_every=2,
             checkpoint_every=2,
             checkpoint_dir=str(golden_dir),
@@ -143,7 +133,6 @@ class TestCheckpointResume:
             mechanism,
             4,
             seed=21,
-            workers=1,
             sync_every=2,
             checkpoint_every=2,
             checkpoint_dir=str(part_dir),
@@ -154,7 +143,6 @@ class TestCheckpointResume:
             mechanism,
             8,
             seed=21,
-            workers=1,
             sync_every=2,
             checkpoint_every=2,
             checkpoint_dir=str(part_dir),
@@ -171,7 +159,6 @@ class TestCheckpointResume:
             mechanism,
             4,
             seed=3,
-            workers=1,
             sync_every=2,
             checkpoint_every=2,
             checkpoint_dir=str(tmp_path),
@@ -182,7 +169,6 @@ class TestCheckpointResume:
             mechanism,
             4,
             seed=3,
-            workers=1,
             sync_every=2,
             checkpoint_every=2,
             checkpoint_dir=str(tmp_path),
@@ -196,7 +182,6 @@ class TestCheckpointResume:
             mechanism,
             2,
             seed=4,
-            workers=1,
             sync_every=2,
             checkpoint_every=2,
             checkpoint_dir=str(tmp_path),
@@ -208,8 +193,7 @@ class TestCheckpointResume:
                 mechanism,
                 6,
                 seed=4,
-                workers=1,
-                sync_every=3,
+                    sync_every=3,
                 checkpoint_every=3,
                 checkpoint_dir=str(tmp_path),
             )
@@ -227,7 +211,7 @@ class TestJournal:
         path = tmp_path / "train.jsonl"
         with RunJournal(path) as journal:
             train_parallel(
-                env, mechanism, 6, seed=8, workers=1, sync_every=2,
+                env, mechanism, 6, seed=8, sync_every=2,
                 journal=journal,
             )
         records = read_journal(path).records
@@ -237,10 +221,81 @@ class TestJournal:
         assert records[0].data["episodes"] == 6
 
 
-@pytest.mark.train
-class TestWorkerInvariance:
-    def test_fingerprint_identical_across_worker_counts(self):
-        # The tentpole claim, executed: real spawned workers, same curve.
-        assert _fingerprint(workers=2, sync_every=2) == _fingerprint(
-            workers=1, sync_every=2
+class TestFailures:
+    def test_failing_episode_raises_its_own_error_at_once(self, monkeypatch):
+        # A seeded episode fails the same way on every attempt, so the
+        # engine must not retry it: the original exception surfaces on
+        # the first attempt and no later episode runs.
+        from repro.experiments import runner
+
+        real = runner.run_episode
+        calls = []
+
+        def failing(env, mechanism, seed=None):
+            calls.append(seed)
+            if len(calls) == 3:
+                raise ZeroDivisionError("episode 2 divides by zero")
+            return real(env, mechanism, seed=seed)
+
+        monkeypatch.setattr(runner, "run_episode", failing)
+        env, mechanism = _setup()
+        with pytest.raises(ZeroDivisionError, match="episode 2"):
+            train_parallel(env, mechanism, 6, seed=2, sync_every=2)
+        assert len(calls) == 3
+
+
+class TestGuard:
+    def test_drain_mid_round_stops_at_last_whole_round(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import runner
+        from repro.resilience.signals import ShutdownGuard
+        from repro.resilience.training import (
+            checkpoint_digest,
+            latest_checkpoint,
         )
+
+        recipe = dict(seed=9, sync_every=2, checkpoint_every=2)
+        golden_dir = tmp_path / "golden"
+        env, mechanism = _setup()
+        golden = train_parallel(
+            env, mechanism, 6, checkpoint_dir=str(golden_dir), **recipe
+        )
+
+        # Drain while round 2 (episodes 2 and 3) is being collected: the
+        # guard is checked before each episode, so episode 3 never runs
+        # and round 2 is discarded without being absorbed.
+        guard = ShutdownGuard()
+        real = runner.run_episode
+        calls = []
+
+        def draining_after_episode_2(env, mechanism, seed=None):
+            calls.append(seed)
+            if len(calls) == 3:
+                guard.request()
+            return real(env, mechanism, seed=seed)
+
+        monkeypatch.setattr(runner, "run_episode", draining_after_episode_2)
+        drill_dir = tmp_path / "drill"
+        env, mechanism = _setup()
+        drained = train_parallel(
+            env,
+            mechanism,
+            6,
+            checkpoint_dir=str(drill_dir),
+            guard=guard,
+            **recipe,
+        )
+        monkeypatch.setattr(runner, "run_episode", real)
+        assert len(calls) == 3
+        assert training_rows(drained) == training_rows(golden)[:2]
+        assert latest_checkpoint(drill_dir).name == "ep00000002"
+
+        env, mechanism = _setup()
+        resumed = train_parallel(
+            env, mechanism, 6, checkpoint_dir=str(drill_dir), **recipe
+        )
+        assert training_fingerprint(resumed) == training_fingerprint(golden)
+        assert checkpoint_digest(
+            latest_checkpoint(drill_dir)
+        ) == checkpoint_digest(latest_checkpoint(golden_dir))

@@ -1,12 +1,13 @@
-"""Rollout-trajectory merge: a seed-ordered K-way split == one stream.
+"""Rollout-trajectory merge: an ordered K-way split == one stream.
 
-The parallel training engine's merge step is only sound if appending K
-workers' collected trajectories in seed order reproduces, element for
-element, the buffer a single sequential run would have filled.  The
-parent appends each one with :meth:`repro.rl.buffer.RolloutBuffer.extend`
-(via ``PPOAgent.absorb_collected``).  These property tests split a
+The seeded round engine's merge step is only sound if appending a
+round's K collected trajectories in episode order reproduces, element
+for element, the buffer a single sequential run would have filled.  The
+live agent appends each one with
+:meth:`repro.rl.buffer.RolloutBuffer.extend` (via
+``PPOAgent.absorb_collected``).  These property tests split a
 synthetic single stream at arbitrary cut points (including empty chunks
-— a worker whose episodes all landed elsewhere — and truncated episodes
+— a collection that produced no transitions — and truncated episodes
 whose final transition is not terminal) and require extending the
 chunks in order to restore ``columns()`` and ``compute()`` of the stream
 pushed row by row, bit for bit.

@@ -106,10 +106,8 @@ class TestKillResumeTraining:
     def test_drill_checkpoints_every_round(self):
         assert TRAIN_DRILL["sync_every"] == TRAIN_DRILL["checkpoint_every"]
 
-    @pytest.mark.train
     def test_sigkilled_training_resumes_to_golden(self, tmp_path):
         report = run_kill_resume_training(
-            workers=2,
             seed=0,
             scratch_dir=str(tmp_path),
             kill_after_rounds=1,

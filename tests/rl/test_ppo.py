@@ -94,7 +94,7 @@ class TestCopyAfterActing:
     """An agent that has acted copies and pickles with its own weights.
 
     Training snapshots ``(env, mechanism)`` for seeded evaluation and for
-    every parallel-training round, so a net must hold no state beyond its
+    every seeded training round, so a net must hold no state beyond its
     modules.
     """
 
@@ -127,7 +127,7 @@ class TestCopyAfterActing:
 
 
 class TestCollectedPayload:
-    """``take_collected`` is what parallel training workers ship back."""
+    """``take_collected`` is what a seeded episode's snapshot hands back."""
 
     def _collect(self, steps):
         agent = PPOAgent(4, 2, config=fast_config(), rng=0)
