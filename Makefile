@@ -30,8 +30,9 @@ golden-verify:
 golden-update:
 	$(PYTHON) -m repro.testing update
 
-# Differential N-way identity matrix: sequential vs obs-on vs audited vs
-# vectorized M=1/M=4 must be bit-identical.
+# Differential N-way identity matrix: every scenario's rerun, obs_on,
+# audited, population_object, parallel_w4 and journal_replay variants
+# must be bit-identical to its sequential capture.
 diff-matrix:
 	$(PYTHON) -m repro.testing diff
 

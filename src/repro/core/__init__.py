@@ -16,7 +16,6 @@ from repro.core.rewards import RewardConfig, exterior_reward, inner_reward
 from repro.core.mechanism import IncentiveMechanism, Observation
 from repro.core.chiron import ChironAgent, ChironConfig
 from repro.core.builder import BuildConfig, BuildResult, build_environment
-from repro.core.vector import VectorizedEdgeLearningEnv
 
 __all__ = [
     "EdgeLearningEnv",
@@ -33,5 +32,4 @@ __all__ = [
     "BuildConfig",
     "BuildResult",
     "build_environment",
-    "VectorizedEdgeLearningEnv",
 ]

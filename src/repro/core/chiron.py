@@ -22,7 +22,7 @@ well-posed credit assignment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -134,15 +134,11 @@ class ChironAgent(IncentiveMechanism):
         """
         return float(self._price_low * self._price_ratio ** _sigmoid(raw))
 
-    def _inner_obs(
-        self, total_price: float, last_times: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _inner_obs(self, total_price: float) -> np.ndarray:
         base = np.array([total_price / self.env.max_total_price])
         if not self.config.inner_observes_times:
             return base
-        if last_times is None:
-            last_times = self._last_times
-        scaled = last_times / self.env.encoder.time_scale
+        scaled = self._last_times / self.env.encoder.time_scale
         return np.concatenate([base, scaled])
 
     def propose_prices(self, obs: Observation) -> np.ndarray:
@@ -286,173 +282,6 @@ class ChironAgent(IncentiveMechanism):
         """Fold one collected episode into the live buffers/normalizers."""
         self.exterior.absorb_collected(collected["exterior"])
         self.inner.absorb_collected(collected["inner"])
-
-    # ------------------------------------------------------------------ #
-    # vectorized protocol (see IncentiveMechanism.supports_vectorized)
-    # ------------------------------------------------------------------ #
-    supports_vectorized = True
-
-    def begin_vectorized(self, num_replicas: int) -> None:
-        """Open per-replica learning state for an M-replica rollout.
-
-        Replica transitions are *staged* inside the sub-agents and flushed
-        into the PPO buffer at each replica's episode end
-        (:meth:`end_episode_at`), so GAE never sees interleaved episodes.
-        """
-        self.exterior.begin_staging(num_replicas)
-        self.inner.begin_staging(num_replicas)
-        self._vec_pending: List[Optional[tuple]] = [None] * num_replicas
-        self._vec_last_times = np.zeros((num_replicas, self.env.n_nodes))
-        self._vec_ep_ext = np.zeros(num_replicas)
-        self._vec_ep_inn = np.zeros(num_replicas)
-
-    def begin_episode_at(self, replica: int) -> None:
-        """Per-replica analogue of :meth:`begin_episode`."""
-        self._vec_pending[replica] = None
-        self._vec_ep_ext[replica] = 0.0
-        self._vec_ep_inn[replica] = 0.0
-        self._vec_last_times[replica] = 0.0
-
-    def propose_prices_batch(
-        self, obs_batch: np.ndarray, replicas: Sequence[int]
-    ) -> np.ndarray:
-        """Price vectors for a batch of replica observations.
-
-        ``obs_batch`` holds one exterior state per entry of ``replicas``
-        (the active replica indices).  Both policy forwards run once over
-        the whole batch; a single-replica batch reproduces
-        :meth:`propose_prices` bit for bit.
-        """
-        deterministic = not self.training and self.config.deterministic_eval
-        # Values feed GAE during training only; evaluation rollouts skip
-        # both critic forwards (the sample streams are untouched).
-        want_values = self.training
-        obs_batch = np.asarray(obs_batch, dtype=np.float64)
-        with _obs.span("chiron.act_batch"):
-            ext_actions, ext_logps, ext_values, ext_norm = self.exterior.act_batch(
-                obs_batch, deterministic=deterministic, compute_values=want_values
-            )
-            # The log-interval squash stays a scalar per-element loop:
-            # vectorizing it through np.power is NOT bit-identical to the
-            # scalar ``float ** float`` used by the sequential path.
-            squash = self._total_price_from_raw
-            total_prices = np.array(
-                [squash(raw) for raw in ext_actions[:, 0].tolist()]
-            )
-            if self.config.inner_observes_times:
-                inner_obs = np.stack(
-                    [
-                        self._inner_obs(tp, self._vec_last_times[r])
-                        for tp, r in zip(total_prices, replicas)
-                    ]
-                )
-            else:
-                # Vectorized _inner_obs: one scaled-price column
-                # (elementwise division is bit-identical to the per-row
-                # scalar division).
-                inner_obs = total_prices[:, None] / self.env.max_total_price
-            inn_actions, inn_logps, inn_values, inn_norm = self.inner.act_batch(
-                inner_obs, deterministic=deterministic, compute_values=want_values
-            )
-        # Batched softmax normalizes each row independently and reproduces
-        # the per-row call bit for bit.
-        prices = total_prices[:, None] * _softmax(inn_actions, axis=-1)
-        ext_logps_l = ext_logps.tolist()
-        inn_logps_l = inn_logps.tolist()
-        if want_values:
-            ext_values_l = ext_values.tolist()
-            inn_values_l = inn_values.tolist()
-        else:
-            # Eval rollout: the critics were skipped; observe_batch never
-            # reads the value slots when not training.
-            ext_values_l = inn_values_l = [None] * len(replicas)
-        for j, replica in enumerate(replicas):
-            self._vec_pending[replica] = (
-                ext_norm[j],
-                ext_actions[j],
-                ext_logps_l[j],
-                ext_values_l[j],
-                inn_norm[j],
-                inn_actions[j],
-                inn_logps_l[j],
-                inn_values_l[j],
-            )
-        return prices
-
-    def observe_batch(
-        self,
-        replicas: Sequence[int],
-        prices: np.ndarray,
-        results: Sequence[StepResult],
-    ) -> None:
-        """Per-replica analogue of :meth:`observe` for one batched step."""
-        training = self.training
-        for j, replica in enumerate(replicas):
-            result = results[j]
-            pend = self._vec_pending[replica]
-            if pend is None:
-                raise RuntimeError(
-                    "observe_batch() without a preceding propose_prices_batch()"
-                )
-            self._vec_pending[replica] = None
-            self._vec_last_times[replica] = result.times
-            self._vec_ep_ext[replica] += result.reward_exterior
-            self._vec_ep_inn[replica] += result.reward_inner
-            if not training:
-                continue
-            (
-                ext_norm,
-                ext_action,
-                ext_logp,
-                ext_value,
-                inn_norm,
-                inn_action,
-                inn_logp,
-                inn_value,
-            ) = pend
-            terminal = result.done
-            if ext_value is None:
-                raise RuntimeError(
-                    "transition was proposed in eval mode (no critic "
-                    "values); call train_mode() before "
-                    "propose_prices_batch(), not after"
-                )
-            self.exterior.stage(
-                replica,
-                ext_norm,
-                ext_action,
-                result.reward_exterior,
-                ext_value,
-                ext_logp,
-                terminal,
-            )
-            self.inner.stage(
-                replica,
-                inn_norm,
-                inn_action,
-                result.reward_inner,
-                inn_value,
-                inn_logp,
-                terminal,
-            )
-
-    def end_episode_at(self, replica: int) -> Dict[str, float]:
-        """Per-replica analogue of :meth:`end_episode`.
-
-        Flushes the replica's staged trajectory into the sub-agents'
-        buffers, then applies the same update trigger as the sequential
-        path (buffer non-empty and past ``min_update_batch``).
-        """
-        diagnostics: Dict[str, float] = {
-            "episode_reward_exterior": float(self._vec_ep_ext[replica]),
-            "episode_reward_inner": float(self._vec_ep_inn[replica]),
-        }
-        if self.training:
-            self.exterior.flush_staged(replica)
-            self.inner.flush_staged(replica)
-            if not self._defer_updates:
-                diagnostics.update(self.apply_update())
-        return diagnostics
 
     # ------------------------------------------------------------------ #
     # persistence

@@ -25,7 +25,6 @@ the full :class:`StepResult` (inner reward, payments, fault outcome, …).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,6 @@ from repro.faults.injector import FaultConfig, FaultInjector
 from repro.faults.reliability import ReliabilityTracker
 from repro.fl.accuracy import LearningProcess
 from repro.population import Population, as_population
-from repro.population.api import NodeResponseBatch
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
 
@@ -297,28 +295,19 @@ class EdgeLearningEnv:
         return obs, info
 
     def step(
-        self,
-        prices: Sequence[float],
-        validate: bool = True,
-        response: "NodeResponseBatch" = None,
+        self, prices: Sequence[float]
     ) -> Tuple[np.ndarray, float, bool, bool, dict]:
         """Run one round; returns ``(obs, reward, terminated, truncated, info)``.
 
         ``reward`` is the exterior reward (Eqn 14).  ``info`` carries the
         full :class:`StepResult` under ``"step_result"`` plus the fields a
         training loop reads every step (``reward_inner``,
-        ``remaining_budget``, ``round_index``, ``accuracy``).
-
-        ``validate=False`` skips the price-vector checks for callers that
-        already validated (the vectorized wrapper checks the whole batch
-        at once).  ``response`` optionally supplies the fleet's already
-        computed :class:`~repro.population.api.NodeResponseBatch` for
-        ``prices`` — the vectorized wrapper answers all replicas in one
-        population call and hands each replica its row; it must be exactly
-        what ``self.population.respond(prices, ...)`` would return.
+        ``remaining_budget``, ``round_index``, ``accuracy``).  ``prices``
+        must be a finite, non-negative ``(n_nodes,)`` vector; anything
+        else raises ``ValueError``.
         """
         with _obs.span("env.step"):
-            result = self._advance(prices, validate=validate, response=response)
+            result = self._advance(prices)
         if _obs.enabled():
             self._record_obs(result)
         terminated = result.done and not result.truncated
@@ -331,25 +320,17 @@ class EdgeLearningEnv:
         }
         return result.state, result.reward_exterior, terminated, result.truncated, info
 
-    def _advance(
-        self,
-        prices: Sequence[float],
-        validate: bool = True,
-        response: "NodeResponseBatch" = None,
-    ) -> StepResult:
+    def _advance(self, prices: Sequence[float]) -> StepResult:
         """Run one round under the posted per-node price vector."""
         if self._done:
             raise RuntimeError("step() on a finished episode; call reset()")
         prices = np.asarray(prices, dtype=np.float64)
-        if validate:
-            if prices.shape != (self.n_nodes,):
-                raise ValueError(
-                    f"prices must have shape ({self.n_nodes},), got {prices.shape}"
-                )
-            if not np.isfinite(prices).all() or prices.min() < 0.0:
-                raise ValueError(
-                    f"prices must be finite and non-negative: {prices}"
-                )
+        if prices.shape != (self.n_nodes,):
+            raise ValueError(
+                f"prices must have shape ({self.n_nodes},), got {prices.shape}"
+            )
+        if not np.isfinite(prices).all() or prices.min() < 0.0:
+            raise ValueError(f"prices must be finite and non-negative: {prices}")
 
         cfg = self.config
         if cfg.availability < 1.0:
@@ -384,15 +365,9 @@ class EdgeLearningEnv:
         # them.
         with _obs.span("env.respond"):
             # Prices were validated above; skip the backend's re-check.
-            # A caller that already holds the fleet's response (the
-            # vectorized wrapper batches all replicas into one population
-            # call) passes it in instead.
-            if response is not None:
-                batch = response
-            else:
-                batch = self.population.respond(
-                    prices, cfg.local_epochs, validate=False
-                )
+            batch = self.population.respond(
+                prices, cfg.local_epochs, validate=False
+            )
             if recruitable is self._all_recruitable:
                 active = batch.participates
             else:
@@ -717,40 +692,3 @@ class EdgeLearningEnv:
                     f", environment uses {expected!r}"
                 )
             rng.bit_generator.state = packed
-
-    # ------------------------------------------------------------------ #
-    # replication / compatibility
-    # ------------------------------------------------------------------ #
-    def spawn(self, seed: int) -> "EdgeLearningEnv":
-        """An independent replica of this environment reseeded with ``seed``.
-
-        The replica shares the (immutable) hardware profiles and reward
-        scales but owns fresh stochastic state: its own learning-process
-        noise stream, churn substream base, and — when faults are enabled —
-        its own fault seed, all derived from ``seed``.  Only learning
-        processes exposing ``clone()`` (the surrogate) can be replicated;
-        real-training sessions hold live model state and cannot.
-        """
-        clone = getattr(self.learning, "clone", None)
-        if clone is None:
-            raise TypeError(
-                f"{type(self.learning).__name__} does not support clone(); "
-                "only surrogate-backed environments can spawn replicas"
-            )
-        seed = int(seed)
-        # Two decorrelated child streams from the replica seed: one for the
-        # learning-process noise, one for the fault model.
-        children = np.random.SeedSequence(seed).spawn(2)
-        faults = self.config.faults
-        if faults is not None:
-            faults = dataclasses.replace(
-                faults, seed=int(children[1].generate_state(1)[0])
-            )
-        config = dataclasses.replace(
-            self.config, availability_seed=seed, faults=faults
-        )
-        learning = clone(rng=np.random.default_rng(children[0]))
-        # The replica shares the population object itself — hardware is
-        # immutable, and passing it through keeps the replica on the same
-        # backend (and the same derived-coefficient cache).
-        return EdgeLearningEnv(self.population, learning, config)

@@ -42,12 +42,6 @@ class IncentiveMechanism(abc.ABC):
     #: short identifier used in result tables
     name: str = "mechanism"
 
-    #: whether the mechanism implements the vectorized batch protocol
-    #: (``begin_vectorized`` / ``propose_prices_batch`` / ``observe_batch``
-    #: / ``begin_episode_at`` / ``end_episode_at``) used by
-    #: :func:`repro.experiments.runner.run_episodes_vectorized`.
-    supports_vectorized: bool = False
-
     def __init__(self, env: EdgeLearningEnv):
         self.env = env
 

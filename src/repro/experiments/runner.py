@@ -1,26 +1,19 @@
 """Drive mechanisms through episodes of the edge-learning MDP.
 
-Two rollout paths:
-
-* :func:`run_episode` — one environment, one episode (the sequential
-  reference path).
-* :func:`run_episodes_vectorized` — M independently seeded environment
-  replicas stepped in lockstep, with batched mechanism inference
-  (:meth:`~repro.core.chiron.ChironAgent.propose_prices_batch`).  With
-  ``num_envs=1`` it reproduces the sequential path bit for bit; with more
-  replicas it amortizes the policy forward across the batch.
+:func:`run_episode` is the one rollout path: one environment, one
+budget-bounded episode.  :func:`train_mechanism` and
+:func:`evaluate_mechanism` run it one episode at a time.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs as _obs
 from repro.core.env import EdgeLearningEnv
 from repro.core.mechanism import IncentiveMechanism, Observation
-from repro.core.vector import VectorizedEdgeLearningEnv
 from repro.experiments.results import EpisodeResult, TrainingHistory
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
@@ -84,134 +77,11 @@ def run_episode(
     return episode, diagnostics
 
 
-def _blank_accumulator() -> dict:
-    return {
-        "efficiencies": [],
-        "total_time": 0.0,
-        "reward_ext": 0.0,
-        "reward_inn": 0.0,
-        "kept": 0,
-        "wasted": 0,
-    }
-
-
-def run_episodes_vectorized(
-    env: Union[EdgeLearningEnv, VectorizedEdgeLearningEnv],
-    mechanism: IncentiveMechanism,
-    episodes: int,
-    num_envs: int = 1,
-) -> List[Tuple[EpisodeResult, dict]]:
-    """Run ``episodes`` episodes across ``num_envs`` environment replicas.
-
-    Replicas run out of budget at different times, so episodes complete
-    out of phase: whenever a replica finishes, its episode is recorded and
-    the replica is reset onto the next pending episode (if any).  Returns
-    ``(EpisodeResult, diagnostics)`` pairs in completion order.
-
-    Requires a mechanism implementing the vectorized batch protocol
-    (``supports_vectorized``); currently that is
-    :class:`~repro.core.chiron.ChironAgent` (both PPO and A2C variants).
-    """
-    check_positive("episodes", episodes)
-    if not getattr(mechanism, "supports_vectorized", False):
-        raise TypeError(
-            f"mechanism {mechanism.name!r} does not implement the vectorized "
-            "batch protocol; run it with train_mechanism(..., num_envs=1)"
-        )
-    if isinstance(env, VectorizedEdgeLearningEnv):
-        venv = env
-    else:
-        venv = VectorizedEdgeLearningEnv.from_env(env, num_envs)
-    num_replicas = venv.num_envs
-
-    mechanism.begin_vectorized(num_replicas)
-    obs = np.zeros((num_replicas, venv.state_dim))
-    active = [False] * num_replicas
-    accumulators: List[Optional[dict]] = [None] * num_replicas
-    started = 0
-    completed: List[Tuple[EpisodeResult, dict]] = []
-
-    def start_episode(replica: int) -> None:
-        nonlocal started
-        initial, _ = venv.reset_at(replica)
-        obs[replica] = initial
-        mechanism.begin_episode_at(replica)
-        accumulators[replica] = _blank_accumulator()
-        active[replica] = True
-        started += 1
-
-    for replica in range(min(num_replicas, episodes)):
-        start_episode(replica)
-
-    prices_full = np.zeros((num_replicas, venv.n_nodes))
-    all_replicas = list(range(num_replicas))
-    while any(active):
-        with _obs.span("runner.vectorized"):
-            if all(active):
-                # Every replica live (the steady state): skip the
-                # fancy-index copies — propose/step read their inputs
-                # without mutating them.
-                replicas = all_replicas
-                prices = mechanism.propose_prices_batch(obs, replicas)
-                step_prices = prices
-            else:
-                replicas = [i for i in range(num_replicas) if active[i]]
-                prices = mechanism.propose_prices_batch(obs[replicas], replicas)
-                prices_full[replicas] = prices
-                step_prices = prices_full
-            _, _, _, _, infos = venv.step(
-                step_prices, active=active, copy_obs=False
-            )
-            results = [infos[i]["step_result"] for i in replicas]
-            mechanism.observe_batch(replicas, prices, results)
-        for j, replica in enumerate(replicas):
-            result = results[j]
-            acc = accumulators[replica]
-            acc["reward_ext"] += result.reward_exterior
-            acc["reward_inn"] += result.reward_inner
-            if result.round_kept:
-                acc["kept"] += 1
-                acc["efficiencies"].append(result.efficiency)
-                acc["total_time"] += result.round_time
-            elif not result.done:
-                acc["wasted"] += 1
-            obs[replica] = result.state
-            if result.done:
-                diagnostics = mechanism.end_episode_at(replica)
-                replica_env = venv.envs[replica]
-                completed.append(
-                    (
-                        EpisodeResult(
-                            rounds=acc["kept"],
-                            final_accuracy=replica_env.accuracy,
-                            mean_time_efficiency=(
-                                float(np.mean(acc["efficiencies"]))
-                                if acc["efficiencies"]
-                                else 0.0
-                            ),
-                            total_learning_time=acc["total_time"],
-                            budget_spent=replica_env.ledger.spent,
-                            reward_exterior=acc["reward_ext"],
-                            reward_inner=acc["reward_inn"],
-                            wasted_rounds=acc["wasted"],
-                        ),
-                        diagnostics,
-                    )
-                )
-                active[replica] = False
-                if _obs.enabled():
-                    _obs.counter("runner.episodes").inc()
-                if started < episodes:
-                    start_episode(replica)
-    return completed
-
-
 def train_mechanism(
-    env: Union[EdgeLearningEnv, VectorizedEdgeLearningEnv],
+    env: EdgeLearningEnv,
     mechanism: IncentiveMechanism,
     episodes: int,
     log_every: Optional[int] = None,
-    num_envs: int = 1,
     seed: Optional[int] = None,
     sync_every: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
@@ -221,10 +91,6 @@ def train_mechanism(
     journal=None,
 ) -> TrainingHistory:
     """Train a mechanism for ``episodes`` budget-bounded episodes.
-
-    ``num_envs > 1`` rolls episodes out on that many environment replicas
-    via :func:`run_episodes_vectorized` (vector-capable mechanisms only);
-    the history then lists episodes in completion order.
 
     An explicit ``seed`` (or ``sync_every``) routes through the seeded
     round engine (:func:`repro.parallel.train_parallel`): every episode
@@ -241,8 +107,7 @@ def train_mechanism(
     :mod:`repro.resilience.training`).  With ``resume`` (the default), a
     rerun pointing at the same directory restores the newest checkpoint
     and continues *bitwise-identically* to the run that was never killed
-    — requires the sequential path (``num_envs == 1``) and a mechanism
-    exposing ``save``/``load``.  ``guard`` (a
+    — requires a mechanism exposing ``save``/``load``.  ``guard`` (a
     :class:`~repro.resilience.signals.ShutdownGuard`) stops at the next
     episode (or round) boundary on SIGTERM/SIGINT, writing a final
     checkpoint when checkpointing is configured; the returned history is
@@ -250,14 +115,7 @@ def train_mechanism(
     crash-drill liveness records (unseeded runs ignore it).
     """
     check_positive("episodes", episodes)
-    check_positive("num_envs", num_envs)
     if seed is not None or sync_every is not None:
-        if num_envs > 1 or isinstance(env, VectorizedEdgeLearningEnv):
-            raise ValueError(
-                "seeded round training requires num_envs=1: vectorized "
-                "replicas and seeded rounds are two different batching "
-                "axes — pick one"
-            )
         if seed is None:
             raise ValueError(
                 "train_mechanism(sync_every=...) requires an explicit "
@@ -293,12 +151,6 @@ def train_mechanism(
                 "checkpoint_every and checkpoint_dir must be set together"
             )
         check_positive("checkpoint_every", checkpoint_every)
-        if num_envs > 1 or isinstance(env, VectorizedEdgeLearningEnv):
-            raise ValueError(
-                "checkpointing requires the sequential path (num_envs=1): "
-                "vectorized replicas finish out of phase, so there is no "
-                "consistent episode boundary to checkpoint at"
-            )
         if not (hasattr(mechanism, "save") and hasattr(mechanism, "load")):
             raise TypeError(
                 f"mechanism {mechanism.name!r} has no save/load and cannot "
@@ -307,24 +159,6 @@ def train_mechanism(
     if hasattr(mechanism, "train_mode"):
         mechanism.train_mode()
     history = TrainingHistory(mechanism=mechanism.name)
-    if num_envs > 1 or isinstance(env, VectorizedEdgeLearningEnv):
-        for episode_idx, (result, diag) in enumerate(
-            run_episodes_vectorized(env, mechanism, episodes, num_envs)
-        ):
-            history.append(result, diag)
-            if log_every and (episode_idx + 1) % log_every == 0:
-                _log.info(
-                    "%s episode %d/%d: reward=%.1f acc=%.3f rounds=%d eff=%.2f",
-                    mechanism.name,
-                    episode_idx + 1,
-                    episodes,
-                    result.reward_exterior,
-                    result.final_accuracy,
-                    result.rounds,
-                    result.mean_time_efficiency,
-                )
-        return history
-
     start_episode = 0
     if checkpointing:
         from repro.resilience.training import (
@@ -386,8 +220,11 @@ def evaluate_mechanism(
     and each episode runs on its own snapshot of ``(env, mechanism)``, so
     episode ``i`` is a pure function of ``(seed, i)`` — the result list
     is bit-identical for **any** ``workers`` value, and the caller's
-    ``env``/``mechanism`` are left untouched.  ``workers > 1`` fans the
-    episodes over a :mod:`repro.parallel` process pool.
+    ``env``/``mechanism`` are left untouched.  ``workers=1`` runs the
+    episodes one after another in this process, and a failing episode
+    raises its own exception at once.  ``workers > 1`` fans the episodes
+    over a :mod:`repro.parallel` process pool, which retries a failing
+    episode and then raises ``RuntimeError``.
 
     Two deliberate behaviour changes versus the pre-parallel seeded path
     (see ``tests/experiments/test_parallel_eval.py``):
@@ -427,13 +264,13 @@ def evaluate_mechanism(
             if switches and was_training:
                 mechanism.train_mode()
 
-    # Seeded: hermetic per-episode items through the parallel engine.
-    # workers=1 executes them in-process — same code path, no processes —
-    # so the worker count cannot change a single bit of the output.
+    # Seeded: one hermetic item per episode, run by the same function
+    # in process or in a worker, so the worker count cannot change a
+    # single bit of the output.  A seeded episode fails the same way on
+    # every attempt, so in process it gets no retry.
     import pickle
 
-    from repro.parallel.items import episodes_from_dicts, eval_item
-    from repro.parallel.pool import PoolConfig, run_items
+    from repro.parallel.items import episodes_from_dicts, eval_item, execute
     from repro.utils.rng import spawn_seeds
 
     bundle = pickle.dumps((env, mechanism))
@@ -441,14 +278,18 @@ def evaluate_mechanism(
         eval_item(bundle, [episode_seed])
         for episode_seed in spawn_seeds(seed, episodes)
     ]
-    report = run_items(items, config=PoolConfig(workers=workers))
-    if report.quarantined:
-        failure = report.quarantined[0]
-        raise RuntimeError(
-            f"evaluation episode {failure.index} failed after "
-            f"{failure.attempts} attempts: "
-            f"{failure.errors[-1] if failure.errors else 'unknown'}"
-        )
-    return [
-        episodes_from_dicts(item["episodes"])[0] for item in report.results
-    ]
+    if workers == 1:
+        outputs = [execute(item) for item in items]
+    else:
+        from repro.parallel.pool import PoolConfig, run_items
+
+        report = run_items(items, config=PoolConfig(workers=workers))
+        if report.quarantined:
+            failure = report.quarantined[0]
+            raise RuntimeError(
+                f"evaluation episode {failure.index} failed after "
+                f"{failure.attempts} attempts: "
+                f"{failure.errors[-1] if failure.errors else 'unknown'}"
+            )
+        outputs = report.results
+    return [episodes_from_dicts(out["episodes"])[0] for out in outputs]

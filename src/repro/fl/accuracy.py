@@ -146,13 +146,6 @@ class SurrogateAccuracy:
         self._accuracy = self.curve.a_init
         return self._accuracy
 
-    def clone(self, rng: RNGLike = None) -> "SurrogateAccuracy":
-        """A fresh process over the same curve/weights with its own noise
-        stream — used to spawn independent environment replicas."""
-        return SurrogateAccuracy(
-            self.curve, self._weights, rng=rng, poison_factor=self.poison_factor
-        )
-
     def reseed(self, rng: RNGLike) -> None:
         """Rebase the observation-noise stream (seeded episode resets).
 

@@ -20,8 +20,9 @@ Item kinds:
   :func:`repro.parallel.engine.run_sweep`.
 * ``eval`` — evaluation episodes of an already-trained mechanism; the
   payload carries ``pickle.dumps((env, mechanism))`` and explicit
-  per-episode seeds (the parallel path of
-  :func:`repro.experiments.runner.evaluate_mechanism`).
+  per-episode seeds (the seeded path of
+  :func:`repro.experiments.runner.evaluate_mechanism`, in process at
+  ``workers=1``, pooled above).
 * ``capture`` — golden-trace capture of a named differential scenario
   (the ``parallel_w4`` variant).
 * test kinds (``echo`` / ``fail`` / ``flaky`` / ``crash`` / ``hang`` /

@@ -390,12 +390,16 @@ class WorkerPool:
                 pass
         slot.task_q = self._ctx.Queue()
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        slot.proc = self._ctx.Process(
+        proc = self._ctx.Process(
             target=_worker_main,
             args=(slot.slot_id, self.fn_path, slot.task_q, send_conn),
             daemon=True,
         )
-        slot.proc.start()
+        # Only a started process enters the slot: shutdown() joins every
+        # slot's process, and joining one whose start() raised would
+        # replace the spawn error with an AssertionError.
+        proc.start()
+        slot.proc = proc
         # Close the parent's copy of the write end so worker death shows
         # up as EOF on the read end.
         send_conn.close()

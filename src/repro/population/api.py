@@ -224,7 +224,7 @@ class PopulationBase:
         return self.kappa(local_epochs) * self._columns["zeta_max"]
 
     def price_floors(self, local_epochs: int) -> np.ndarray:
-        """Vectorized :func:`repro.economics.pricing.min_participation_price`."""
+        """Whole-fleet :func:`repro.economics.pricing.min_participation_price`."""
         c = self._columns
         kappa = self.kappa(local_epochs)
         e_com = self.communication_energy()

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SoAPopulation(PopulationBase):
-    """Vectorized :class:`~repro.population.api.Population` backend."""
+    """Structure-of-arrays :class:`~repro.population.api.Population` backend."""
 
     backend = "soa"
 
@@ -149,13 +149,6 @@ class SoAPopulation(PopulationBase):
             self._coef_cache[local_epochs] = cached
         return cached
 
-    #: The best response is pure elementwise column math, so an ``(M, n)``
-    #: price matrix broadcasts row-for-row bit-identically to M separate
-    #: ``(n,)`` calls (no reductions are involved — unlike e.g. BLAS
-    #: matmul, elementwise ufuncs are exact per element).  The vectorized
-    #: environment uses this to answer all M replicas in one call.
-    supports_batched_prices = True
-
     def respond(
         self, prices, local_epochs: int, validate: bool = True
     ) -> NodeResponseBatch:
@@ -166,9 +159,7 @@ class SoAPopulation(PopulationBase):
         to ``ζ_min``, exactly the scalar zero-price branch.
 
         ``validate=False`` skips the price-vector re-check for callers
-        that already validated (the env hot path); such callers may also
-        pass an ``(M, n)`` price matrix, answered row-for-row (see
-        ``supports_batched_prices``).
+        that already validated (the env hot path).
         """
         if validate:
             prices = self.validate_prices(prices)

@@ -52,8 +52,7 @@ class RolloutBuffer:
     Rows live in one growable array per field (:data:`FIELDS`; ``dones``
     as ``uint8``, the rest ``float64``).  :meth:`push` appends one row,
     :meth:`extend` appends a block of rows in :meth:`columns` form — the
-    form checkpoints, seeded collection and per-replica staging hand
-    trajectories over in.
+    form checkpoints and seeded collection hand trajectories over in.
     """
 
     def __init__(self, gamma: float = 0.95, gae_lambda: float = 0.95):

@@ -9,7 +9,7 @@ per episode when the budget is exhausted, Algorithm 1 lines 17-27).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -158,10 +158,6 @@ class PPOAgent:
         self.obs_stat = RunningMeanStd((obs_dim,)) if cfg.normalize_obs else None
         self._shuffle_rng = shuffle_rng
         self.episodes_seen = 0
-        # Per-replica staging buffers for vectorized rollouts: replicas
-        # accumulate here and flush whole trajectories into the buffer at
-        # their episode ends, so GAE never sees interleaved episodes.
-        self._staged: List[RolloutBuffer] = []
         # Armed by begin_collect(): raw (pre-normalization) observations
         # captured alongside the buffered transitions so the live agent
         # can replay them through its own normalizer.
@@ -208,10 +204,8 @@ class PPOAgent:
         """Batched :meth:`act` over ``(M, obs_dim)`` observations.
 
         Returns ``(actions (M, act_dim), log_probs (M,), values (M,),
-        norm_obs (M, obs_dim))`` — the normalized observations are handed
-        back so callers can stage them directly (see :meth:`stage`),
-        skipping the redundant re-normalization :meth:`store` performs.
-        An ``M = 1`` batch reproduces :meth:`act` bit for bit.
+        norm_obs (M, obs_dim))``.  An ``M = 1`` batch reproduces
+        :meth:`act` bit for bit.
 
         ``compute_values=False`` skips the critic forward (``values`` is
         ``None``); see :meth:`act`.
@@ -293,40 +287,6 @@ class PPOAgent:
             for row in raw:
                 self.obs_stat.update(row)
         self.buffer.extend(traj)
-
-    # ------------------------------------------------------------------ #
-    # vectorized staging
-    # ------------------------------------------------------------------ #
-    def begin_staging(self, num_replicas: int) -> None:
-        """Open one staging buffer per replica."""
-        cfg = self.config
-        self._staged = [
-            RolloutBuffer(gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
-            for _ in range(num_replicas)
-        ]
-
-    def stage(
-        self,
-        replica: int,
-        norm_obs: np.ndarray,
-        action: np.ndarray,
-        reward: float,
-        value: float,
-        log_prob: float,
-        done: bool,
-    ) -> None:
-        """Hold one transition for ``replica`` (obs already normalized)."""
-        self._staged[replica].push(norm_obs, action, reward, value, log_prob, done)
-
-    def flush_staged(self, replica: int) -> None:
-        """Move ``replica``'s staged trajectory into the rollout buffer.
-
-        Called at that replica's episode end — trajectories enter the
-        buffer contiguously, in episode-completion order.
-        """
-        staged = self._staged[replica]
-        self.buffer.extend(staged.columns())
-        staged.clear()
 
     # ------------------------------------------------------------------ #
     # learning

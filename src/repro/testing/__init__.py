@@ -1,6 +1,6 @@
 """Correctness tooling: golden traces, invariants, diffing, fuzz.
 
-The four sub-systems (see ``docs/testing.md`` for the workflow):
+The five sub-systems (see ``docs/testing.md`` for the workflow):
 
 * :mod:`repro.testing.trace` — canonical episode traces with SHA-256
   digests and a first-divergence diff engine;
@@ -9,7 +9,8 @@ The four sub-systems (see ``docs/testing.md`` for the workflow):
 * :mod:`repro.testing.invariants` — the per-round paper-invariant
   auditor (zero-cost when disabled, like :mod:`repro.obs`);
 * :mod:`repro.testing.differential` — one engine replaying identical
-  seeds across {sequential, vectorized, obs, audited} execution paths;
+  seeds across {rerun, obs, audited, object population, worker process,
+  journal replay} execution paths;
 * :mod:`repro.testing.fuzz` — seeded env/autograd fuzz corpora.
 """
 
@@ -53,7 +54,6 @@ from repro.testing.trace import (
     EpisodeTrace,
     capture_mechanism,
     capture_sequential,
-    capture_vectorized,
     first_divergence,
 )
 
@@ -66,7 +66,6 @@ __all__ = [
     "EpisodeTrace",
     "capture_mechanism",
     "capture_sequential",
-    "capture_vectorized",
     "first_divergence",
     "DEFAULT_GOLDEN_DIR",
     "VerifyReport",

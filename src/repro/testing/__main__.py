@@ -75,7 +75,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    names = args.scenarios or [n for n in sorted(SCENARIOS) if SCENARIOS[n].num_envs == 1]
+    names = args.scenarios or sorted(SCENARIOS)
     grid = differential.matrix_report(names, variants=args.variants or None)
     ok = True
     for name, outcomes in grid.items():
@@ -104,7 +104,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         scenario = SCENARIOS[name]
         path = golden.golden_path(name, directory)
         status = "committed" if path.exists() else "MISSING"
-        print(f"{name:<16} replicas={scenario.num_envs}  golden={status}")
+        print(f"{name:<16} golden={status}")
         print(f"    {scenario.description}")
     train_path = training_golden.training_golden_path(directory)
     status = "committed" if train_path.exists() else "MISSING"

@@ -1,9 +1,9 @@
 """Differential runner: one engine for every execution-path identity claim.
 
-The reproduction promises that the Chiron mechanism computes *the same
-numbers* no matter which path executes it: the sequential reference env,
-the masked vectorized env (any M), with observability on or off, with the
-invariant auditor installed or not — and all of that both with and
+The reproduction promises that an episode computes *the same numbers* no
+matter which path executes it: a fresh rerun, observability on or off,
+the invariant auditor installed or not, either population backend, a
+worker process or a journal replay — and all of that both with and
 without the fault pipeline.  Each claim used to live in its own
 hand-rolled test; this module replays one :class:`~repro.testing.scenarios.Scenario`
 through an N-way variant matrix and reports the first diverging
@@ -19,9 +19,6 @@ Variants (each compared bit-exactly against its reference):
 ``population_object``  the same episode on the object-node population
                     backend (per-node ``node_response`` loop) instead of
                     the SoA default — the API-redesign identity proof
-``vector_m1``       the M=1 vectorized wrapper (replica 0 is the env)
-``vector_m4``       M=4 lockstep vs the same four replicas stepped
-                    individually (full multi-replica comparison)
 ``parallel_w4``     the same capture executed in 4 separate worker
                     processes via :mod:`repro.parallel` — every worker's
                     trace must be bit-identical to the in-process one
@@ -32,9 +29,11 @@ Variants (each compared bit-exactly against its reference):
                     must be bit-identical (crash/resume changes nothing)
 ==================  ====================================================
 
-Faults on/off is the *scenario* axis: running the matrix over both the
-``baseline`` and ``faulted`` scenarios covers the full
-{sequential, vectorized M∈{1,4}, obs on/off, faults on/off} grid.
+Every variant applies to both kinds of scenario: schedule-driven ones
+replay a pinned price schedule, mechanism-driven ones (``stackelberg_n5``)
+put the live mechanism in the loop.  Faults on/off is the *scenario*
+axis: the ``baseline`` and ``faulted`` scenarios run the same variants
+with the fault pipeline off and on.
 """
 
 from __future__ import annotations
@@ -43,19 +42,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
-from repro.core.vector import VectorizedEdgeLearningEnv
 from repro.testing import invariants
 from repro.testing.scenarios import (
     Scenario,
     capture,
     get_scenario,
     price_schedule,
-    replica_schedules,
-    replica_seeds,
 )
 from repro.testing.trace import (
     Divergence,
     EpisodeTrace,
+    capture_mechanism,
     capture_sequential,
     first_divergence,
 )
@@ -66,32 +63,9 @@ VARIANTS = (
     "obs_on",
     "audited",
     "population_object",
-    "vector_m1",
-    "vector_m4",
     "parallel_w4",
     "journal_replay",
 )
-
-#: The subset that applies to mechanism-driven scenarios — the vectorized
-#: wrapper replays pinned schedules, which a live mechanism doesn't have.
-MECHANISM_VARIANTS = (
-    "rerun",
-    "obs_on",
-    "audited",
-    "population_object",
-    "parallel_w4",
-    "journal_replay",
-)
-
-def supported_variants(scenario: Scenario) -> Sequence[str]:
-    """The variant set a scenario can run.
-
-    Mechanism-driven scenarios skip the vectorized variants (their
-    action stream is the pinned mechanism's own).
-    """
-    if scenario.mechanism is not None:
-        return MECHANISM_VARIANTS
-    return VARIANTS
 
 
 @dataclass(frozen=True)
@@ -121,8 +95,6 @@ class DifferentialOutcome:
 
 def _sequential_trace(scenario: Scenario) -> EpisodeTrace:
     if scenario.mechanism is not None:
-        from repro.testing.trace import capture_mechanism
-
         env = scenario.build_env()
         return capture_mechanism(
             env,
@@ -149,8 +121,6 @@ def _capture_obs_on(scenario: Scenario) -> EpisodeTrace:
 def _capture_audited(scenario: Scenario) -> EpisodeTrace:
     env = invariants.InvariantAuditor(scenario.build_env())
     if scenario.mechanism is not None:
-        from repro.testing.trace import capture_mechanism
-
         # The mechanism drives the audited wrapper directly — its
         # ``__getattr__`` proxies the fleet/config reads the mechanism
         # factory needs, and auditing never touches an RNG.
@@ -189,42 +159,6 @@ def _capture_population_object(scenario: Scenario) -> EpisodeTrace:
 
     build = dataclasses.replace(scenario.build, population_backend="object")
     return _sequential_trace(dataclasses.replace(scenario, build=build))
-
-
-def _capture_vector(scenario: Scenario, num_envs: int) -> EpisodeTrace:
-    """Scenario through the vectorized path with ``num_envs`` replicas."""
-    import dataclasses
-
-    vec_scenario = dataclasses.replace(scenario, num_envs=num_envs)
-    return capture(vec_scenario)
-
-
-def _capture_singles(scenario: Scenario, num_envs: int) -> EpisodeTrace:
-    """The vector scenario's replicas, each stepped individually.
-
-    Builds the identical replica set (replica 0 is the base env, 1..M-1
-    spawned with the same derived seeds as
-    :meth:`VectorizedEdgeLearningEnv.from_env`) but never goes through the
-    vectorized step path — the sequential reference for ``vector_m4``.
-    """
-    env = scenario.build_env()
-    venv = VectorizedEdgeLearningEnv.from_env(env, num_envs)
-    schedules = replica_schedules(
-        env, scenario.rounds, scenario.schedule_seed, num_envs
-    )
-    seeds = replica_seeds(scenario.episode_seed, num_envs)
-    traces = [
-        capture_sequential(
-            venv.envs[i], schedules[i], seeds[i], scenario=scenario.name
-        )
-        for i in range(num_envs)
-    ]
-    return EpisodeTrace(
-        scenario=scenario.name,
-        episode_seed=seeds[0],
-        replicas=[t.replicas[0] for t in traces],
-        ledgers=[t.ledgers[0] for t in traces],
-    )
 
 
 def _capture_parallel(
@@ -291,9 +225,9 @@ def run_variant(
     """Run one variant and diff it against its reference trace.
 
     ``reference`` (the plain sequential capture) is computed on demand
-    when not supplied; ``vector_m4`` ignores it and builds its own
-    multi-replica singles reference; ``parallel_w4`` compares against the
-    in-process :func:`~repro.testing.scenarios.capture` of the scenario.
+    when not supplied; ``parallel_w4`` and ``journal_replay`` compare
+    against the in-process :func:`~repro.testing.scenarios.capture` of the
+    scenario instead.
     """
     if variant == "parallel_w4":
         expected = capture(scenario)
@@ -319,31 +253,17 @@ def run_variant(
             rounds=actual.num_rounds,
             divergence=first_divergence(expected, actual),
         )
-    if variant in ("vector_m1", "vector_m4") and scenario.mechanism is not None:
-        raise ValueError(
-            f"variant {variant!r} needs a pinned price schedule; "
-            f"mechanism-driven scenario {scenario.name!r} supports "
-            f"{MECHANISM_VARIANTS}"
-        )
-    if variant == "vector_m4":
-        expected = _capture_singles(scenario, 4)
-        actual = _capture_vector(scenario, 4)
+    expected = reference if reference is not None else _sequential_trace(scenario)
+    if variant == "rerun":
+        actual = _sequential_trace(scenario)
+    elif variant == "obs_on":
+        actual = _capture_obs_on(scenario)
+    elif variant == "audited":
+        actual = _capture_audited(scenario)
+    elif variant == "population_object":
+        actual = _capture_population_object(scenario)
     else:
-        expected = reference if reference is not None else _sequential_trace(scenario)
-        if variant == "rerun":
-            actual = _sequential_trace(scenario)
-        elif variant == "obs_on":
-            actual = _capture_obs_on(scenario)
-        elif variant == "audited":
-            actual = _capture_audited(scenario)
-        elif variant == "population_object":
-            actual = _capture_population_object(scenario)
-        elif variant == "vector_m1":
-            actual = _capture_vector(scenario, 1)
-        else:
-            raise ValueError(
-                f"unknown variant {variant!r}; available: {VARIANTS}"
-            )
+        raise ValueError(f"unknown variant {variant!r}; available: {VARIANTS}")
     return DifferentialOutcome(
         scenario=scenario.name,
         variant=variant,
@@ -359,11 +279,9 @@ def run_matrix(
     """Run every variant of one scenario against the sequential reference."""
     scenario = get_scenario(scenario_name)
     reference = _sequential_trace(scenario)
-    supported = set(supported_variants(scenario))
     return [
         run_variant(scenario, variant, reference=reference)
-        for variant in (variants or supported_variants(scenario))
-        if variant in supported  # matrix runs skip unsupported quietly
+        for variant in (variants or VARIANTS)
     ]
 
 

@@ -15,9 +15,6 @@ The committed golden scenarios cover the paper's regimes:
 * ``baseline`` — fault-free model, the paper's Algorithm 1 exactly;
 * ``faulted`` — churn + mixed crash/straggler/corrupt faults with the
   escrow/clawback defenses on (Eqn 9 accounting under failure);
-* ``vectorized_m4`` — four replicas in lockstep, proving the masked
-  vector path and :meth:`~repro.core.env.EdgeLearningEnv.spawn`
-  decorrelation;
 * ``population_n5`` — the paper's N=5 fleet under churn + faults, the
   anchor for the object-vs-SoA population-backend identity proof;
 * ``stackelberg_n5`` — the mechanism-zoo Stackelberg leader pricing its
@@ -28,19 +25,18 @@ The committed golden scenarios cover the paper's regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.builder import BuildConfig
 from repro.core.env import EdgeLearningEnv
-from repro.core.vector import VectorizedEdgeLearningEnv
 from repro.faults.injector import FaultConfig
 from repro.testing.trace import (
     EpisodeTrace,
+    capture_mechanism,
     capture_sequential,
-    capture_vectorized,
 )
 
 
@@ -54,10 +50,7 @@ class Scenario:
     (``mechanism`` set to a registered mechanism name) put the live
     mechanism in the loop — the action stream is the mechanism's own
     deterministic output under ``mechanism_seed``, which is exactly what
-    a zoo golden trace needs to pin.  Mechanism-driven scenarios are
-    sequential-only (``num_envs`` must stay 1) and skip the vectorized
-    differential variants (see
-    :func:`repro.testing.differential.supported_variants`).
+    a zoo golden trace needs to pin.
     """
 
     name: str
@@ -66,16 +59,8 @@ class Scenario:
     episode_seed: int
     schedule_seed: int
     rounds: int = 80  # schedule horizon (capture stops early at env.done)
-    num_envs: int = 1  # > 1 captures through the vectorized path
     mechanism: Optional[str] = None  # registered mechanism name, or None
     mechanism_seed: int = 0  # RNG seed handed to the mechanism factory
-
-    def __post_init__(self):
-        if self.mechanism is not None and self.num_envs != 1:
-            raise ValueError(
-                "mechanism-driven scenarios are sequential-only "
-                f"(got num_envs={self.num_envs} for {self.name!r})"
-            )
 
     def build_env(self) -> EdgeLearningEnv:
         """A fresh, deterministic environment for this scenario."""
@@ -123,34 +108,6 @@ def price_schedule(
     return schedule
 
 
-def replica_seeds(episode_seed: int, num_envs: int) -> List[int]:
-    """Per-replica episode seeds for vectorized captures.
-
-    Replica 0 keeps ``episode_seed`` itself — so an M=1 vectorized capture
-    replays *exactly* the sequential episode — and replicas 1..M-1 get
-    decorrelated seeds derived from it.
-    """
-    if num_envs == 1:
-        return [int(episode_seed)]
-    state = np.random.SeedSequence(episode_seed).generate_state(
-        num_envs - 1, dtype=np.uint32
-    )
-    return [int(episode_seed)] + [int(s) for s in state]
-
-
-def replica_schedules(
-    env: EdgeLearningEnv, rounds: int, schedule_seed: int, num_envs: int
-) -> List[np.ndarray]:
-    """One deterministic schedule per replica (replica 0 = the base one)."""
-    schedules = [price_schedule(env, rounds, schedule_seed)]
-    if num_envs > 1:
-        seeds = np.random.SeedSequence(schedule_seed).generate_state(
-            num_envs - 1, dtype=np.uint32
-        )
-        schedules.extend(price_schedule(env, rounds, int(s)) for s in seeds)
-    return schedules
-
-
 def capture(scenario: Scenario) -> EpisodeTrace:
     """Build the scenario's environment and record its canonical trace."""
     env = scenario.build_env()
@@ -159,11 +116,8 @@ def capture(scenario: Scenario) -> EpisodeTrace:
         "build": scenario.build.to_dict(),
         "schedule_seed": scenario.schedule_seed,
         "rounds": scenario.rounds,
-        "num_envs": scenario.num_envs,
     }
     if scenario.mechanism is not None:
-        from repro.testing.trace import capture_mechanism
-
         meta["mechanism"] = scenario.mechanism
         meta["mechanism_seed"] = scenario.mechanism_seed
         return capture_mechanism(
@@ -174,22 +128,13 @@ def capture(scenario: Scenario) -> EpisodeTrace:
             max_rounds=scenario.rounds,
             meta=meta,
         )
-    if scenario.num_envs == 1:
-        schedule = price_schedule(env, scenario.rounds, scenario.schedule_seed)
-        return capture_sequential(
-            env,
-            schedule,
-            episode_seed=scenario.episode_seed,
-            scenario=scenario.name,
-            meta=meta,
-        )
-    venv = VectorizedEdgeLearningEnv.from_env(env, scenario.num_envs)
-    schedules = replica_schedules(
-        env, scenario.rounds, scenario.schedule_seed, scenario.num_envs
-    )
-    seeds = replica_seeds(scenario.episode_seed, scenario.num_envs)
-    return capture_vectorized(
-        venv, schedules, seeds, scenario=scenario.name, meta=meta
+    schedule = price_schedule(env, scenario.rounds, scenario.schedule_seed)
+    return capture_sequential(
+        env,
+        schedule,
+        episode_seed=scenario.episode_seed,
+        scenario=scenario.name,
+        meta=meta,
     )
 
 
@@ -222,17 +167,6 @@ SCENARIOS: Dict[str, Scenario] = {
             ),
             episode_seed=99,
             schedule_seed=2025,
-        ),
-        Scenario(
-            name="vectorized_m4",
-            description=(
-                "Four decorrelated replicas stepped in lockstep through "
-                "the masked vectorized path."
-            ),
-            build=BuildConfig(n_nodes=4, budget=15.0, seed=123),
-            episode_seed=99,
-            schedule_seed=2026,
-            num_envs=4,
         ),
         Scenario(
             name="population_n5",

@@ -1,11 +1,11 @@
 """Canonical episode traces: capture, serialize, digest, diff.
 
 A *trace* is the bit-exact record of everything observable while driving
-an :class:`~repro.core.env.EdgeLearningEnv` (or an M-replica
-:class:`~repro.core.vector.VectorizedEdgeLearningEnv`) through one seeded
-episode: per-round prices, the Gymnasium protocol tuple, and every
+an :class:`~repro.core.env.EdgeLearningEnv` through one seeded episode:
+per-round prices, the Gymnasium protocol tuple, and every
 :class:`~repro.core.env.StepResult` field, plus the final budget-ledger
-summary.  Traces serialize to JSON losslessly — Python's ``repr``-based
+summary.  The digested body keeps a list of replicas (one entry per
+trace), so the committed golden files keep their digests.  Traces serialize to JSON losslessly — Python's ``repr``-based
 float formatting round-trips IEEE-754 doubles exactly — so equality of
 the canonical JSON (and of its SHA-256 digest) is equality of the
 underlying floating-point streams, bit for bit.
@@ -22,12 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional
 
 import numpy as np
 
 from repro.core.env import EdgeLearningEnv, StepResult
-from repro.core.vector import VectorizedEdgeLearningEnv
 
 #: Bump when the canonical round record gains/loses fields; verify refuses
 #: to compare traces across schema versions instead of mis-diffing them.
@@ -117,7 +116,11 @@ def ledger_summary(env: EdgeLearningEnv) -> dict:
 
 @dataclass
 class EpisodeTrace:
-    """A multi-replica canonical trace (one replica for sequential runs)."""
+    """A canonical trace: one round list and one ledger per replica.
+
+    Every capture records a single environment, so ``replicas`` and
+    ``ledgers`` hold one entry each.
+    """
 
     scenario: str
     episode_seed: int
@@ -252,60 +255,6 @@ def capture_mechanism(
         episode_seed=episode_seed,
         replicas=[rounds],
         ledgers=[ledger_summary(env)],
-        meta=dict(meta or {}),
-    )
-
-
-def capture_vectorized(
-    venv: VectorizedEdgeLearningEnv,
-    schedules: Sequence[np.ndarray],
-    episode_seeds: Sequence[int],
-    scenario: str = "adhoc",
-    meta: Optional[dict] = None,
-) -> EpisodeTrace:
-    """Drive M replicas in lockstep, each under its own fixed schedule.
-
-    Replicas finish out of phase; a finished replica is masked inactive
-    (mirroring the training loop) while the rest continue, so the trace
-    proves masked stepping leaves live replicas untouched.
-    """
-    if len(schedules) != venv.num_envs or len(episode_seeds) != venv.num_envs:
-        raise ValueError(
-            f"need {venv.num_envs} schedules and seeds, got "
-            f"{len(schedules)}/{len(episode_seeds)}"
-        )
-    venv.reset(seeds=list(episode_seeds))
-    horizon = min(len(s) for s in schedules)
-    replicas: List[List[dict]] = [[] for _ in range(venv.num_envs)]
-    prices = np.zeros((venv.num_envs, venv.n_nodes))
-    for k in range(horizon):
-        active = [not d for d in venv.dones]
-        if not any(active):
-            break
-        for i, schedule in enumerate(schedules):
-            prices[i] = schedule[k]
-        obs, rewards, terminated, truncated, infos = venv.step(
-            prices, active=active
-        )
-        for i in range(venv.num_envs):
-            if not active[i]:
-                continue
-            replicas[i].append(
-                canonical_round(
-                    k,
-                    prices[i],
-                    obs[i],
-                    rewards[i],
-                    terminated[i],
-                    truncated[i],
-                    infos[i]["step_result"],
-                )
-            )
-    return EpisodeTrace(
-        scenario=scenario,
-        episode_seed=int(episode_seeds[0]),
-        replicas=replicas,
-        ledgers=[ledger_summary(env) for env in venv.envs],
         meta=dict(meta or {}),
     )
 

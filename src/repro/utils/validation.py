@@ -45,7 +45,7 @@ def check_int(name: str, value: object, minimum: int) -> int:
 def check_positive_array(
     name: str, values: np.ndarray, strict: bool = True
 ) -> None:
-    """Vectorized :func:`check_positive` over a whole array at once."""
+    """:func:`check_positive` over a whole array at once."""
     arr = np.asarray(values)
     if arr.size == 0:
         return

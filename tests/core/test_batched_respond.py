@@ -1,26 +1,18 @@
-"""Cross-replica batched best response and eval-mode inference contracts.
+"""Eval-mode inference contracts and the fused-forward rollout gate.
 
-The vectorized env answers all M replicas with ONE population call on the
-(M, n) price matrix — sound only because spawned replicas share one
-immutable population and the SoA best response is pure elementwise math
-(row-for-row bit-identical to M separate calls).  Eval-mode Chiron skips
-both critic forwards; transitions proposed that way carry no values and
-must be rejected loudly if someone later tries to train on them.  A whole
-seeded vectorized rollout must not depend on whether the policy and value
-nets run the graph-free ``Sequential.infer`` loop or the autograd forward.
+Eval-mode Chiron skips both critic forwards; transitions proposed that way
+carry no values and must be rejected loudly if someone later tries to
+train on them.  Whole seeded episodes must not depend on whether the
+policy and value nets run the graph-free ``Sequential.infer`` loop or the
+autograd forward.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ChironAgent,
-    ChironConfig,
-    VectorizedEdgeLearningEnv,
-    build_environment,
-)
+from repro.core import ChironAgent, ChironConfig, build_environment
 from repro.core.mechanism import Observation
-from repro.experiments.runner import run_episodes_vectorized
+from repro.experiments.runner import run_episode
 from repro.nn.layers import Sequential
 from repro.rl import PPOConfig
 
@@ -38,67 +30,6 @@ def make_env(**kwargs):
     )
     defaults.update(kwargs)
     return build_environment(**defaults).env
-
-
-class TestBatchedRespond:
-    def test_shared_population_detected_for_spawned_replicas(self):
-        venv = VectorizedEdgeLearningEnv.from_env(make_env(), 4)
-        assert venv._shared_population is venv.envs[0].population
-
-    def test_single_replica_stays_on_scalar_path(self):
-        venv = VectorizedEdgeLearningEnv.from_env(make_env(), 1)
-        assert venv._shared_population is None
-
-    def test_batched_step_bit_identical_to_per_replica_respond(self):
-        # Same replicas, same prices: one venv answers the fleet with the
-        # (M, n) batched call, the twin is forced onto the per-replica
-        # path.  Every output row and every replica's internal state must
-        # match bitwise over a full multi-round run.
-        batched = VectorizedEdgeLearningEnv.from_env(make_env(), 4)
-        singles = VectorizedEdgeLearningEnv.from_env(make_env(), 4)
-        singles._shared_population = None
-        assert batched._shared_population is not None
-
-        batched.reset()
-        singles.reset()
-        rng = np.random.default_rng(21)
-        floors = batched.envs[0].price_floors
-        caps = batched.envs[0].price_caps
-        active = [True] * 4
-        for _ in range(12):
-            prices = floors + rng.random((4, len(floors))) * (caps - floors)
-            obs_b, rew_b, term_b, trunc_b, infos_b = batched.step(prices, active=active)
-            obs_s, rew_s, term_s, trunc_s, infos_s = singles.step(prices, active=active)
-            np.testing.assert_array_equal(obs_b, obs_s)
-            np.testing.assert_array_equal(rew_b, rew_s)
-            np.testing.assert_array_equal(term_b, term_s)
-            np.testing.assert_array_equal(trunc_b, trunc_s)
-            for info_b, info_s in zip(infos_b, infos_s):
-                assert (info_b is None) == (info_s is None)
-                if info_b is None:
-                    continue
-                sr_b = info_b["step_result"]
-                sr_s = info_s["step_result"]
-                assert sr_b.participants == sr_s.participants
-                np.testing.assert_array_equal(sr_b.payments, sr_s.payments)
-                np.testing.assert_array_equal(sr_b.zetas, sr_s.zetas)
-                np.testing.assert_array_equal(sr_b.times, sr_s.times)
-                assert sr_b.remaining_budget == sr_s.remaining_budget
-            active = [
-                a and not (t or tr)
-                for a, t, tr in zip(active, term_b, trunc_b)
-            ]
-            if not any(active):
-                break
-
-    def test_copy_obs_false_returns_internal_buffer(self):
-        venv = VectorizedEdgeLearningEnv.from_env(make_env(), 2)
-        venv.reset()
-        prices = np.tile(venv.envs[0].price_floors, (2, 1))
-        obs, *_ = venv.step(prices, copy_obs=False)
-        assert obs is venv._last_obs
-        obs_copied, *_ = venv.step(prices)
-        assert obs_copied is not venv._last_obs
 
 
 class TestEvalModeValueSkip:
@@ -138,39 +69,62 @@ class TestEvalModeValueSkip:
             agent.observe(prices, info["step_result"])
 
 
-def seeded_rollout(num_envs=4, episodes=8):
-    """Per-episode results of one seeded eval-mode vectorized rollout.
+def _agent(**config):
+    env = build_environment(seed=0, n_nodes=5, budget=100.0).env
+    agent = ChironAgent(
+        env, ChironConfig(**config), rng=np.random.default_rng(42)
+    )
+    return env, agent
+
+
+def seeded_episodes(episodes=8):
+    """Per-episode results of seeded eval-mode episodes, run one by one.
 
     deterministic_eval=False keeps the stochastic acting path (normalizer
     updates + Gaussian sampling) under eval mode.
     """
-    env = build_environment(seed=0, n_nodes=5, budget=100.0).env
-    agent = ChironAgent(
-        env,
-        ChironConfig(deterministic_eval=False),
-        rng=np.random.default_rng(42),
-    )
+    env, agent = _agent(deterministic_eval=False)
     agent.eval_mode()
-    venv = VectorizedEdgeLearningEnv.from_env(env, num_envs)
-    return [
-        (
-            r.rounds,
-            r.final_accuracy,
-            r.mean_time_efficiency,
-            r.total_learning_time,
-            r.budget_spent,
-            r.reward_exterior,
-            r.reward_inner,
-            r.wasted_rounds,
+    results = []
+    for seed in range(episodes):
+        r, _ = run_episode(env, agent, seed=seed)
+        results.append(
+            (
+                r.rounds,
+                r.final_accuracy,
+                r.mean_time_efficiency,
+                r.total_learning_time,
+                r.budget_spent,
+                r.reward_exterior,
+                r.reward_inner,
+                r.wasted_rounds,
+            )
         )
-        for r, _ in run_episodes_vectorized(venv, agent, episodes, num_envs)
-    ]
+    return results
+
+
+def collected_episode():
+    """One training-mode collected episode, every column as raw bytes.
+
+    Training mode runs both critic forwards, so the stored values put the
+    value nets inside the gate too.
+    """
+    env, agent = _agent()
+    agent.begin_collect(7)
+    run_episode(env, agent, seed=3)
+    return {
+        layer: {
+            name: (column.shape, column.dtype.str, column.tobytes())
+            for name, column in sorted(columns.items())
+        }
+        for layer, columns in agent.take_collected().items()
+    }
 
 
 class TestFusedRolloutIdentity:
     def test_fused_rerun_and_autograd_forward_agree(self, monkeypatch):
-        kernel = seeded_rollout()
-        rerun = seeded_rollout()
+        kernel = (seeded_episodes(), collected_episode())
+        rerun = (seeded_episodes(), collected_episode())
         calls = []
 
         def autograd_forward(net, x):
@@ -180,8 +134,9 @@ class TestFusedRolloutIdentity:
         # Every policy and value forward now builds the autograd forward
         # instead of running the Sequential.infer loop.
         monkeypatch.setattr(Sequential, "infer", autograd_forward)
-        autograd = seeded_rollout()
+        autograd = (seeded_episodes(), collected_episode())
         assert calls
-        assert len(kernel) == 8
+        assert len(kernel[0]) == 8
+        assert len(kernel[1]["exterior"]["values"][2]) > 0
         assert kernel == rerun
         assert kernel == autograd

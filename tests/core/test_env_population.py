@@ -1,4 +1,4 @@
-"""Environment ↔ Population integration: backends and spawn."""
+"""Environment ↔ Population integration: backend selection."""
 
 import numpy as np
 import pytest
@@ -43,20 +43,3 @@ class TestBackendSelection:
         rebuilt = BuildConfig.from_dict(config.to_dict())
         assert rebuilt.population_backend == "object"
         assert rebuilt == config
-
-
-class TestSpawnKeepsBackend:
-    @pytest.mark.parametrize("backend", ["soa", "object"])
-    def test_spawned_env_keeps_backend(self, backend):
-        env = _build(backend=backend)
-        child = env.spawn(seed=5)
-        assert type(child.population) is type(env.population)
-        assert child.population.n_nodes == env.population.n_nodes
-
-    def test_spawned_env_shares_immutable_fleet(self):
-        # Replicas decorrelate the stochastic streams, not the hardware:
-        # the (immutable) population object is shared, coefficient caches
-        # and all.
-        env = _build()
-        child = env.spawn(seed=5)
-        assert child.population is env.population

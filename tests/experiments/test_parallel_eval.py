@@ -79,6 +79,32 @@ class TestWorkersInvariance:
         assert len({e.final_accuracy for e in a}) > 1
 
 
+class TestFailingEpisode:
+    def test_in_process_failure_raises_its_own_exception_at_once(
+        self, monkeypatch
+    ):
+        # A seeded episode fails the same way on every attempt: at
+        # workers=1 the episode's own exception propagates on its first
+        # attempt, and no later episode runs.
+        from repro.experiments import runner
+
+        env, mechanism = _env_and_mechanism()
+        bad_seed = spawn_seeds(3, 4)[1]
+        calls = []
+        real_run_episode = runner.run_episode
+
+        def run_episode_failing(env, mechanism, seed=None):
+            calls.append(seed)
+            if seed == bad_seed:
+                raise ZeroDivisionError("boom")
+            return real_run_episode(env, mechanism, seed=seed)
+
+        monkeypatch.setattr(runner, "run_episode", run_episode_failing)
+        with pytest.raises(ZeroDivisionError, match="boom"):
+            evaluate_mechanism(env, mechanism, episodes=4, seed=3)
+        assert len(calls) == 2
+
+
 class TestTrainedInProcess:
     def test_seeded_eval_after_training(self):
         # Training acts through the policy and value nets, then seeded

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from multiprocessing import process as mp_process
+
 import pytest
 
 from repro.parallel.pool import ItemFailure, PoolConfig, run_items
@@ -120,6 +122,22 @@ class TestCallbacks:
         assert not report.ok
         assert report.results == [None] * 4
         assert report.quarantined == []
+
+
+class TestSpawnFailure:
+    def test_spawn_error_is_not_masked_by_shutdown(self, monkeypatch):
+        # shutdown() joins every slot's process; a process whose start()
+        # raised must not be in its slot, or the join's AssertionError
+        # ("can only join a started process") replaces the real error.
+        def refuse(self):
+            raise RuntimeError("spawn refused")
+
+        monkeypatch.setattr(mp_process.BaseProcess, "start", refuse)
+        with pytest.raises(RuntimeError, match="spawn refused"):
+            run_items(
+                [{"kind": "echo", "value": i} for i in range(2)],
+                config=PoolConfig(workers=2),
+            )
 
 
 class TestTimeoutExcludesColdStart:

@@ -167,18 +167,6 @@ class TestTrainMechanismValidation:
                 env, mechanism, episodes=1, checkpoint_dir=str(tmp_path)
             )
 
-    def test_vectorized_path_rejected(self, tmp_path):
-        env, mechanism = self._env_mech()
-        with pytest.raises(ValueError, match="sequential path"):
-            train_mechanism(
-                env,
-                mechanism,
-                episodes=1,
-                num_envs=2,
-                checkpoint_every=1,
-                checkpoint_dir=str(tmp_path),
-            )
-
     def test_mechanism_without_save_rejected(self, tmp_path):
         built = build_environment(
             task_name="mnist",

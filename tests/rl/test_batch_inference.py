@@ -1,8 +1,6 @@
-"""Batched policy inference and per-replica staging (vectorized rollouts).
+"""Batched policy inference.
 
-``act_batch`` must reproduce ``act`` bit for bit on an M = 1 batch, and a
-staged-then-flushed trajectory must land in the rollout buffer exactly as
-sequential ``store`` calls would.
+``act_batch`` must reproduce ``act`` bit for bit on an M = 1 batch.
 """
 
 import warnings
@@ -77,55 +75,6 @@ class TestActBatch:
         # Same observation in every row, but each row draws its own
         # Gaussian noise: stochastic actions must differ.
         assert len({tuple(row) for row in acts}) == 4
-
-
-class TestStaging:
-    def test_staged_flush_matches_sequential_store(self):
-        a = make_agent(seed=5)
-        b = make_agent(seed=5)
-        rng = np.random.default_rng(11)
-        b.begin_staging(1)
-        for t in range(8):
-            obs = rng.normal(size=6)
-            done = t == 7
-            act_a, logp_a, val_a = a.act(obs)
-            a.store(obs, act_a, 0.5 * t, val_a, logp_a, done)
-            acts, logps, vals, norm = b.act_batch(obs.reshape(1, -1))
-            b.stage(0, norm[0], acts[0], 0.5 * t, vals[0], logps[0], done)
-        assert len(b.buffer) == 0  # nothing enters the buffer until flush
-        b.flush_staged(0)
-        assert len(a.buffer) == len(b.buffer) == 8
-
-        batch_a = a.buffer.compute(last_value=0.0)
-        batch_b = b.buffer.compute(last_value=0.0)
-        np.testing.assert_array_equal(batch_a.obs, batch_b.obs)
-        np.testing.assert_array_equal(batch_a.actions, batch_b.actions)
-        np.testing.assert_array_equal(batch_a.log_probs, batch_b.log_probs)
-        np.testing.assert_array_equal(batch_a.advantages, batch_b.advantages)
-        np.testing.assert_array_equal(batch_a.returns, batch_b.returns)
-
-    def test_replicas_flush_contiguously(self):
-        agent = make_agent(seed=2)
-        agent.begin_staging(2)
-        obs = np.zeros((2, 6))
-        for t in range(3):
-            acts, logps, vals, norm = agent.act_batch(obs)
-            for r in range(2):
-                agent.stage(
-                    r, norm[r], acts[r], float(r), vals[r], logps[r], t == 2
-                )
-        agent.flush_staged(1)
-        agent.flush_staged(0)
-        batch = agent.buffer.compute(last_value=0.0)
-        assert len(batch) == 6
-
-    def test_flush_clears_staging(self):
-        agent = make_agent(seed=2)
-        agent.begin_staging(1)
-        agent.stage(0, np.zeros(6), np.zeros(3), 1.0, 0.0, 0.0, True)
-        agent.flush_staged(0)
-        agent.flush_staged(0)  # idempotent: nothing left to move
-        assert len(agent.buffer) == 1
 
 
 class TestComputeValuesSkip:

@@ -1,5 +1,7 @@
 """Agent checkpointing."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -180,11 +182,12 @@ class TestChironBitwiseResume:
         fresh = ChironAgent(env, ChironConfig(), rng=np.random.default_rng(99))
         fresh.load(path)
 
-        # Identical twin environments: same spawn seed -> same streams.
-        env_a = env.spawn(123)
-        env_b = env.spawn(123)
-        result_a, diag_a = run_episode(env_a, agent)
-        result_b, diag_b = run_episode(env_b, fresh)
+        # Identical twin environments: copies of one environment, run on
+        # the same episode seed -> same streams.
+        env_a = pickle.loads(pickle.dumps(env))
+        env_b = pickle.loads(pickle.dumps(env))
+        result_a, diag_a = run_episode(env_a, agent, seed=123)
+        result_b, diag_b = run_episode(env_b, fresh, seed=123)
 
         assert result_a.reward_exterior == result_b.reward_exterior
         assert result_a.reward_inner == result_b.reward_inner

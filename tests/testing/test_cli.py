@@ -7,7 +7,7 @@ class TestList:
     def test_lists_every_scenario(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("baseline", "faulted", "vectorized_m4"):
+        for name in ("baseline", "faulted", "population_n5"):
             assert name in out
 
 

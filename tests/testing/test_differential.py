@@ -1,11 +1,11 @@
 """Differential N-way identity matrix.
 
 One parametrized test proves the headline reproducibility claim: the same
-seeded episode is bit-identical whether it runs sequentially, with
-observability instrumentation enabled, under the invariant auditor, or
-inside the vectorized engine at M=1 and M=4.  This replaces the ad-hoc
-pairwise comparisons that used to live in tests/obs/test_bit_identity.py
-and tests/core/test_vector.py.
+seeded episode is bit-identical whether it is rerun, runs with
+observability instrumentation enabled, under the invariant auditor, on
+the object-node population backend, in worker processes or replayed from
+a journal.  This replaces the ad-hoc pairwise comparisons that used to
+live in tests/obs/test_bit_identity.py.
 """
 
 import pytest
