@@ -64,8 +64,8 @@ chaos-smoke:
 resume-test:
 	$(PYTHON) -m repro.resilience resume-test
 
-# SIGKILL drill for training: kill a journaled, checkpointed seeded
-# training run mid-flight, resume from the checkpoints in process,
+# SIGKILL drill for training: kill a checkpointed training run once it
+# has written a checkpoint, resume from the checkpoints in process,
 # require the golden learning curve AND the golden checkpoint digest bit
 # for bit.
 train-resume-test:

@@ -61,10 +61,6 @@ class DRLSingleAgent(IncentiveMechanism):
         self.training = True
         self._pending: Optional[dict] = None
         self._episode_reward = 0.0
-        # Collect-only mode for seeded trajectory collection (see
-        # repro.parallel.training): episode ends stop consuming the
-        # buffer; the round engine applies one update after merging.
-        self._defer_updates = False
 
     def propose_prices(self, obs: Observation) -> np.ndarray:
         action, logp, value = self.agent.act(
@@ -105,8 +101,8 @@ class DRLSingleAgent(IncentiveMechanism):
 
     def end_episode(self) -> Dict[str, float]:
         diagnostics = {"episode_reward_exterior": self._episode_reward}
-        if not self._defer_updates:
-            diagnostics.update(self.apply_update())
+        if self.ready_to_update():
+            diagnostics.update(self.agent.update())
         return diagnostics
 
     def ready_to_update(self) -> bool:
@@ -116,32 +112,6 @@ class DRLSingleAgent(IncentiveMechanism):
             and len(self.agent.buffer) > 0
             and self.agent.ready_to_update()
         )
-
-    def apply_update(self) -> Dict[str, float]:
-        """Run the PPO update if the buffer is ready (live-agent side)."""
-        if self.ready_to_update():
-            return self.agent.update()
-        return {}
-
-    # ------------------------------------------------------------------ #
-    # seeded trajectory collection (see repro.parallel.training)
-    # ------------------------------------------------------------------ #
-    supports_parallel_training = True
-
-    def begin_collect(self, sample_seed: int) -> None:
-        """Enter collect-only mode for one seeded episode (snapshot side)."""
-        self.agent.begin_collect(int(sample_seed))
-        self._defer_updates = True
-
-    def take_collected(self) -> Dict[str, dict]:
-        """The collected trajectory, leaving collect mode."""
-        collected = {"agent": self.agent.take_collected()}
-        self._defer_updates = False
-        return collected
-
-    def absorb_collected(self, collected: Dict[str, dict]) -> None:
-        """Fold one collected episode into the live buffer/normalizer."""
-        self.agent.absorb_collected(collected["agent"])
 
     def train_mode(self) -> "DRLSingleAgent":
         self.training = True

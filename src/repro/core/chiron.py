@@ -10,10 +10,16 @@
   (Eqn 13).
 
 Both agents are standard PPO actor-critics (:class:`repro.rl.PPOAgent`)
-updated once per episode when the budget runs out, exactly as in
-Algorithm 1.  One indexing note: Algorithm 1 line 15 stores the inner
-transition as ``(s^I_{k−1}, a^I_{k−1}, r^I_k, s^I_k)``; since the idle time
-of round ``k`` is fully determined by round ``k``'s own allocation, we pair
+updated in :meth:`ChironAgent.end_episode` when the budget runs out,
+exactly as in Algorithm 1 (with ``PPOConfig.min_update_batch`` set, at
+the first episode end with enough buffered transitions).
+:meth:`ChironAgent.begin_collect` / :meth:`ChironAgent.take_collected`
+run a seeded collect-only episode that never updates; perfbench's
+``rollout_collect`` workload drives them.
+
+One indexing note: Algorithm 1 line 15 stores the inner transition as
+``(s^I_{k−1}, a^I_{k−1}, r^I_k, s^I_k)``; since the idle time of round
+``k`` is fully determined by round ``k``'s own allocation, we pair
 ``r^I_k`` with ``a^I_k`` (the off-by-one in the listing appears to be a
 typesetting artifact and pairing reward with its own action is the
 well-posed credit assignment).
@@ -115,10 +121,9 @@ class ChironAgent(IncentiveMechanism):
         self._pending: Optional[dict] = None
         self._episode_ext_reward = 0.0
         self._episode_inn_reward = 0.0
-        # Collect-only mode (seeded round training): transitions are
-        # buffered but end_episode() must not consume them with an update —
-        # the round engine applies one update after merging (see
-        # apply_update()).
+        # Collect-only mode (begin_collect/take_collected): transitions
+        # are buffered but end_episode() must not consume them with an
+        # update.
         self._defer_updates = False
 
     # ------------------------------------------------------------------ #
@@ -217,12 +222,20 @@ class ChironAgent(IncentiveMechanism):
         )
 
     def end_episode(self) -> Dict[str, float]:
+        """Close the episode; run both PPO updates if the buffers are ready.
+
+        Returns the episode rewards plus the prefixed update statistics
+        of an update that ran.
+        """
         diagnostics: Dict[str, float] = {
             "episode_reward_exterior": self._episode_ext_reward,
             "episode_reward_inner": self._episode_inn_reward,
         }
-        if not self._defer_updates:
-            diagnostics.update(self.apply_update())
+        if not self._defer_updates and self.ready_to_update():
+            ext_stats = self.exterior.update()
+            inn_stats = self.inner.update()
+            diagnostics.update({f"exterior_{k}": v for k, v in ext_stats.items()})
+            diagnostics.update({f"inner_{k}": v for k, v in inn_stats.items()})
         return diagnostics
 
     def ready_to_update(self) -> bool:
@@ -233,36 +246,17 @@ class ChironAgent(IncentiveMechanism):
             and self.exterior.ready_to_update()
         )
 
-    def apply_update(self) -> Dict[str, float]:
-        """Run both sub-agents' PPO updates if the buffers are ready.
-
-        Factored out of :meth:`end_episode` so the seeded round engine
-        (:mod:`repro.parallel.training`) can merge a round's collected
-        episodes into the live agent first and then update it once.
-        Returns the prefixed update statistics (empty when the buffers
-        are not ready).
-        """
-        diagnostics: Dict[str, float] = {}
-        if self.ready_to_update():
-            ext_stats = self.exterior.update()
-            inn_stats = self.inner.update()
-            diagnostics.update({f"exterior_{k}": v for k, v in ext_stats.items()})
-            diagnostics.update({f"inner_{k}": v for k, v in inn_stats.items()})
-        return diagnostics
-
     # ------------------------------------------------------------------ #
-    # seeded trajectory collection (see repro.parallel.training)
+    # seeded collect-only episodes
     # ------------------------------------------------------------------ #
-    supports_parallel_training = True
-
     def begin_collect(self, sample_seed: int) -> None:
-        """Enter collect-only mode for one seeded episode (snapshot side).
+        """Enter collect-only mode for one seeded episode.
 
         ``sample_seed`` deterministically reseeds both sub-agents'
         exploration noise (split via :func:`spawn_seeds` so the two
-        layers stay decorrelated) and clears any transitions the pickled
-        snapshot carried.  Episode ends stop triggering updates until
-        :meth:`take_collected` disarms the mode.
+        layers stay decorrelated) and clears any buffered transitions.
+        Episode ends stop triggering updates until :meth:`take_collected`
+        disarms the mode.
         """
         ext_seed, inn_seed = spawn_seeds(int(sample_seed), 2)
         self.exterior.begin_collect(int(ext_seed))
@@ -277,11 +271,6 @@ class ChironAgent(IncentiveMechanism):
         }
         self._defer_updates = False
         return collected
-
-    def absorb_collected(self, collected: Dict[str, dict]) -> None:
-        """Fold one collected episode into the live buffers/normalizers."""
-        self.exterior.absorb_collected(collected["exterior"])
-        self.inner.absorb_collected(collected["inner"])
 
     # ------------------------------------------------------------------ #
     # persistence

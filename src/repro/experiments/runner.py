@@ -2,7 +2,9 @@
 
 :func:`run_episode` is the one rollout path: one environment, one
 budget-bounded episode.  :func:`train_mechanism` and
-:func:`evaluate_mechanism` run it one episode at a time.
+:func:`evaluate_mechanism` run it one episode at a time; training has
+one algorithm, the live mechanism learning from its own episodes
+(Algorithm 1).
 """
 
 from __future__ import annotations
@@ -82,68 +84,30 @@ def train_mechanism(
     mechanism: IncentiveMechanism,
     episodes: int,
     log_every: Optional[int] = None,
-    seed: Optional[int] = None,
-    sync_every: Optional[int] = None,
+    *,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
     guard=None,
-    journal=None,
 ) -> TrainingHistory:
     """Train a mechanism for ``episodes`` budget-bounded episodes.
 
-    An explicit ``seed`` (or ``sync_every``) routes through the seeded
-    round engine (:func:`repro.parallel.train_parallel`): every episode
-    of a round is collected on a copy of one policy snapshot with its
-    own spawned seeds, then one update runs.  Requires a mechanism
-    supporting the collect protocol (``supports_parallel_training``) and
-    an explicit ``seed``.  ``sync_every`` sets episodes collected per
-    policy snapshot.
+    Each episode runs on the live ``(env, mechanism)`` pair and the
+    mechanism updates itself when the budget runs out (Algorithm 1,
+    lines 17–27).
 
     ``checkpoint_every=N`` (with ``checkpoint_dir``) makes the run
     *crash-safe*: every N completed episodes the mechanism's
     full-fidelity checkpoint plus the environment's cross-episode RNG
     state and the history so far are written atomically (see
-    :mod:`repro.resilience.training`).  With ``resume`` (the default), a
-    rerun pointing at the same directory restores the newest checkpoint
-    and continues *bitwise-identically* to the run that was never killed
-    — requires a mechanism exposing ``save``/``load``.  ``guard`` (a
+    :mod:`repro.resilience.training`).  A rerun pointing at the same
+    directory restores its newest checkpoint and continues
+    *bitwise-identically* to the run that was never killed — requires a
+    mechanism exposing ``save``/``load``.  ``guard`` (a
     :class:`~repro.resilience.signals.ShutdownGuard`) stops at the next
-    episode (or round) boundary on SIGTERM/SIGINT, writing a final
-    checkpoint when checkpointing is configured; the returned history is
-    then partial.  ``journal`` is forwarded to the round engine for
-    crash-drill liveness records (unseeded runs ignore it).
+    episode boundary on SIGTERM/SIGINT, writing a final checkpoint when
+    checkpointing is configured; the returned history is then partial.
     """
     check_positive("episodes", episodes)
-    if seed is not None or sync_every is not None:
-        if seed is None:
-            raise ValueError(
-                "train_mechanism(sync_every=...) requires an explicit "
-                "seed: per-episode env/exploration seeds are what make "
-                "round training deterministic"
-            )
-        if not getattr(mechanism, "supports_parallel_training", False):
-            raise TypeError(
-                f"mechanism {mechanism.name!r} does not support seeded "
-                "round training (no collect protocol); train it unseeded, "
-                "or use repro.parallel.run_sweep to parallelize across "
-                "independent (mechanism, budget, seed) runs"
-            )
-        from repro.parallel.training import train_parallel
-
-        return train_parallel(
-            env,
-            mechanism,
-            episodes,
-            seed=seed,
-            sync_every=sync_every,
-            log_every=log_every,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            guard=guard,
-            journal=journal,
-        )
     checkpointing = checkpoint_every is not None or checkpoint_dir is not None
     if checkpointing:
         if checkpoint_every is None or checkpoint_dir is None:
@@ -167,14 +131,13 @@ def train_mechanism(
             save_training_checkpoint,
         )
 
-        if resume:
-            newest = latest_checkpoint(checkpoint_dir)
-            if newest is not None:
-                start_episode, history = load_training_checkpoint(
-                    newest, mechanism, env
-                )
-                if start_episode >= episodes:
-                    return history
+        newest = latest_checkpoint(checkpoint_dir)
+        if newest is not None:
+            start_episode, history = load_training_checkpoint(
+                newest, mechanism, env
+            )
+            if start_episode >= episodes:
+                return history
     for episode_idx in range(start_episode, episodes):
         if guard is not None and guard.draining:
             break
@@ -226,19 +189,8 @@ def evaluate_mechanism(
     over a :mod:`repro.parallel` process pool, which retries a failing
     episode and then raises ``RuntimeError``.
 
-    Two deliberate behaviour changes versus the pre-parallel seeded path
-    (see ``tests/experiments/test_parallel_eval.py``):
-
-    * seeds used to be ``SeedSequence(seed).generate_state(episodes,
-      dtype=np.uint32)`` words, which are collision-prone across user
-      seeds (birthday bound near 2**16) and carry no independence
-      guarantee — spawned children carry both;
-    * episodes used to share mutable env/mechanism state, so episode
-      ``i``'s result depended on episodes ``< i`` having run — that
-      coupling is exactly what made parallel evaluation impossible.
-
-    ``seed=None`` (only valid with ``workers=1``) keeps the legacy
-    shared-state path: episodes continue the environment's own stream and
+    ``seed=None`` (only valid with ``workers=1``) runs the episodes on
+    the caller's pair: they continue the environment's own stream and
     mechanism state advances across episodes, which training-time
     evaluation and the checkpoint round-trip tests rely on.
     """

@@ -15,13 +15,13 @@ Layout:
 * :mod:`repro.parallel.pool` — parent-driven pool: crash attribution,
   bounded retry with backoff, poisoned-item quarantine, worker respawn,
   EWMA slot health.
-* :mod:`repro.parallel.merge` — cross-process aggregation (episode rows,
-  registry snapshots, ``RunningMeanStd`` Chan merge).
+* :mod:`repro.parallel.merge` — cross-process aggregation of registry
+  snapshots and span profiles.
 * :mod:`repro.parallel.engine` — ``run_sweep`` + the standard experiment
   grid builder, with result fingerprints proving worker-count invariance.
-* :mod:`repro.parallel.training` — ``train_parallel``: seeded round
-  training of one mechanism, in process (collect a round of episodes
-  against one snapshot, then update).
+
+One training run is not fanned out: it trains in process, episode by
+episode (:func:`repro.experiments.runner.train_mechanism`).
 """
 
 from repro.parallel.engine import SweepResult, grid_items, run_sweep
@@ -32,24 +32,14 @@ from repro.parallel.items import (
     execute,
     sweep_item,
 )
-from repro.parallel.merge import (
-    merge_profiles,
-    merge_running_stats,
-    merge_snapshots,
-)
+from repro.parallel.merge import merge_profiles, merge_snapshots
 from repro.parallel.pool import (
     ItemFailure,
     PoolConfig,
     PoolReport,
     run_items,
 )
-from repro.parallel.seeds import episode_seeds, item_sequence, sweep_item_seeds
-from repro.parallel.training import (
-    DEFAULT_SYNC_EVERY,
-    train_parallel,
-    training_fingerprint,
-    training_rows,
-)
+from repro.parallel.seeds import episode_seeds
 
 __all__ = [
     "SweepResult",
@@ -62,16 +52,9 @@ __all__ = [
     "execute",
     "merge_snapshots",
     "merge_profiles",
-    "merge_running_stats",
     "PoolConfig",
     "PoolReport",
     "ItemFailure",
     "run_items",
     "episode_seeds",
-    "sweep_item_seeds",
-    "item_sequence",
-    "DEFAULT_SYNC_EVERY",
-    "train_parallel",
-    "training_fingerprint",
-    "training_rows",
 ]

@@ -1,10 +1,9 @@
 """Cross-process aggregation of worker results.
 
 Workers are hermetic, so everything they produce comes back as plain
-data: episode dicts, :meth:`~repro.obs.registry.MetricsRegistry.snapshot`
-dicts, and (for RL mechanisms) per-worker
-:class:`~repro.rl.running_stat.RunningMeanStd` normalizer parts.  This
-module folds those back together in the parent:
+data: episode dicts and
+:meth:`~repro.obs.registry.MetricsRegistry.snapshot` dicts.  This module
+folds the snapshots back together in the parent:
 
 * :func:`merge_snapshots` — one registry snapshot from many, with
   per-type semantics: counters **sum**; gauges take the **last** value in
@@ -14,12 +13,6 @@ module folds those back together in the parent:
   and average quantile estimates by count (streaming P² states are not
   mergeable exactly); span profiles merge by path, summing
   count/total/self.
-* :func:`merge_running_stats` — Chan et al. parallel merge, exact to
-  float round-off (see :meth:`RunningMeanStd.merge`).
-
-Collected training trajectories do not pass through here: the parent
-appends each one to its rollout buffer with
-:meth:`~repro.rl.ppo.PPOAgent.absorb_collected`.
 
 Everything here is pure data-to-data so it can be golden-tested without
 spawning a single process.
@@ -29,12 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.rl.running_stat import RunningMeanStd
-
 __all__ = [
     "merge_snapshots",
     "merge_profiles",
-    "merge_running_stats",
 ]
 
 _MetricKey = Tuple[str, Tuple[Tuple[str, str], ...], str]
@@ -154,10 +144,3 @@ def merge_snapshots(snapshots: Sequence[Optional[dict]]) -> dict:
         "metrics": metrics,
         "profile": merge_profiles([s.get("profile", []) for s in present]),
     }
-
-
-def merge_running_stats(
-    parts: Sequence[RunningMeanStd],
-) -> RunningMeanStd:
-    """Exact Chan parallel merge of per-worker observation normalizers."""
-    return RunningMeanStd.merge(parts)

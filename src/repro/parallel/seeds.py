@@ -12,11 +12,7 @@ Derivation scheme (see ``docs/parallel.md``):
 * each work item's streams hang off ``SeedSequence(item_seed)``;
 * per-episode seeds inside an item come from
   :func:`repro.utils.rng.spawn_seeds` (``SeedSequence.spawn`` children),
-  so episode ``i`` of item ``j`` is a pure function of ``(item_seed, i)``;
-* sweeps that need one root to fan into many items use
-  :func:`sweep_item_seeds`, whose entry ``i`` depends only on
-  ``(sweep_seed, i)`` — growing the grid appends items without
-  renumbering the existing ones.
+  so episode ``i`` of item ``j`` is a pure function of ``(item_seed, i)``.
 
 Nothing here consults the worker pool: :mod:`repro.parallel.pool` moves
 already-seeded items around; this module guarantees moving them is safe.
@@ -26,16 +22,9 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.utils.rng import spawn_seeds
 
-__all__ = ["episode_seeds", "sweep_item_seeds", "item_sequence"]
-
-
-def item_sequence(item_seed: int) -> np.random.SeedSequence:
-    """The root ``SeedSequence`` of one work item's private stream tree."""
-    return np.random.SeedSequence(int(item_seed))
+__all__ = ["episode_seeds"]
 
 
 def episode_seeds(item_seed: int, episodes: int) -> List[int]:
@@ -45,13 +34,3 @@ def episode_seeds(item_seed: int, episodes: int) -> List[int]:
     episodes over workers in any way cannot change any episode's streams.
     """
     return spawn_seeds(int(item_seed), episodes)
-
-
-def sweep_item_seeds(sweep_seed: int, n_items: int) -> List[int]:
-    """Root seeds for ``n_items`` work items of one sweep.
-
-    Entry ``i`` is stable under grid growth: ``sweep_item_seeds(s, n)`` is
-    a prefix of ``sweep_item_seeds(s, n + k)``, because spawned children
-    are keyed by their index, not by the batch size.
-    """
-    return spawn_seeds(int(sweep_seed), n_items)

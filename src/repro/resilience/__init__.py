@@ -24,7 +24,7 @@ determinism contract:
 * :mod:`repro.resilience.chaos` — deterministic fault injection (worker
   kills, hangs, unpicklable results, parent-process SIGKILL) proving
   the retry/quarantine/resume paths end-to-end for sweeps *and* for
-  seeded round training (``run_kill_resume_training``); also the CLI
+  checkpointed training (``run_kill_resume_training``); also the CLI
   ``python -m repro.resilience chaos|resume-test|train-resume-test|inspect``.
 
 Everything surfaces through :mod:`repro.obs` counters

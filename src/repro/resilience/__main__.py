@@ -11,10 +11,10 @@ Commands::
                  resumed fingerprint to equal the uninterrupted one.
     train-resume-test
                  kill-mid-training drill: SIGKILL a live checkpointed
-                 ``train_parallel`` run after >= 1 settled round, resume
-                 in process, require the resumed training fingerprint
-                 and final checkpoint digest to equal an uninterrupted
-                 run's.
+                 ``train_mechanism`` run once it has written >= 1
+                 checkpoint, resume in process, require the resumed
+                 training fingerprint and final checkpoint digest to
+                 equal an uninterrupted run's.
     inspect      summarize a journal file (records by kind, completion).
     _child-sweep (internal) the subprocess body resume-test kills.
     _child-train (internal) the subprocess body train-resume-test kills.
@@ -69,7 +69,7 @@ def _cmd_train_resume_test(args: argparse.Namespace) -> int:
 
     report = run_kill_resume_training(
         seed=args.seed,
-        kill_after_rounds=args.kill_after,
+        kill_after_checkpoints=args.kill_after,
     )
     print(json.dumps(report, indent=2, sort_keys=True))
     if not report["killed_mid_flight"]:
@@ -106,22 +106,9 @@ def _cmd_child_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_child_train(args: argparse.Namespace) -> int:
     """Internal: the training body the train-resume-test drill kills."""
-    from repro.parallel.training import train_parallel
-    from repro.resilience.chaos import TRAIN_DRILL, kill_resume_training_setup
-    from repro.resilience.journal import RunJournal
+    from repro.resilience.chaos import _train_drill
 
-    env, mechanism = kill_resume_training_setup(args.seed)
-    with RunJournal(args.journal) as journal:
-        train_parallel(
-            env,
-            mechanism,
-            TRAIN_DRILL["episodes"],
-            seed=args.seed,
-            sync_every=TRAIN_DRILL["sync_every"],
-            checkpoint_every=TRAIN_DRILL["checkpoint_every"],
-            checkpoint_dir=args.dir,
-            journal=journal,
-        )
+    _train_drill(args.seed, args.dir)
     return 0
 
 
@@ -159,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-after",
         type=int,
         default=1,
-        help="settled training rounds journaled before the SIGKILL",
+        help="training checkpoints written before the SIGKILL",
     )
     p_train_resume.set_defaults(func=_cmd_train_resume_test)
 
@@ -175,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_child_train = sub.add_parser("_child-train")
     p_child_train.add_argument("--seed", type=int, default=0)
-    p_child_train.add_argument("--journal", required=True)
     p_child_train.add_argument("--dir", required=True)
     p_child_train.set_defaults(func=_cmd_child_train)
     return parser

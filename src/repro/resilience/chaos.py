@@ -1,6 +1,6 @@
 """Deterministic chaos harness for the resilience layer.
 
-Two proofs, both runnable from CI (``python -m repro.resilience``):
+Three proofs, all runnable from CI (``python -m repro.resilience``):
 
 * :func:`run_chaos` — build a seeded mixture of deliberately misbehaving
   work items (worker-killing crashes, hangs past the item timeout,
@@ -17,12 +17,12 @@ Two proofs, both runnable from CI (``python -m repro.resilience``):
   bit-identical to an uninterrupted run's and no process of the group to
   survive.
 * :func:`run_kill_resume_training` — the same drill for *training*:
-  launch a checkpointed, journaled
-  :func:`~repro.parallel.training.train_parallel` run in a subprocess,
-  ``SIGKILL`` its process group once the journal shows at least one
-  settled training round, resume in process from the checkpoint
-  directory, and require both the resumed run's
-  :func:`~repro.parallel.training.training_fingerprint` and its final
+  launch a checkpointed
+  :func:`~repro.experiments.runner.train_mechanism` run in a subprocess,
+  ``SIGKILL`` its process group once its checkpoint directory holds a
+  checkpoint, resume in process from that directory, and require both
+  the resumed run's
+  :func:`~repro.testing.training.training_fingerprint` and its final
   checkpoint's :func:`~repro.resilience.training.checkpoint_digest` to
   equal an uninterrupted run's, again with no survivor in the group.
 
@@ -413,11 +413,10 @@ def run_kill_resume(
 # kill-mid-training drill
 # --------------------------------------------------------------------- #
 #: Training-run shape the drill uses (shared by the golden run, the
-#: killed child, and the resume).  Checkpoints land at every round
-#: boundary so a kill after any settled round leaves a resume point.
+#: killed child, and the resume).  A checkpoint lands every two episodes,
+#: so a kill after any checkpoint leaves a resume point.
 TRAIN_DRILL: Dict[str, int] = {
     "episodes": 8,
-    "sync_every": 2,
     "checkpoint_every": 2,
 }
 
@@ -444,10 +443,25 @@ def kill_resume_training_setup(seed: int = 0):
     return build.env, mechanism
 
 
+def _train_drill(seed: int, checkpoint_dir):
+    """Train the drill recipe, resuming from ``checkpoint_dir``'s newest
+    checkpoint if it holds one."""
+    from repro.experiments.runner import train_mechanism
+
+    env, mechanism = kill_resume_training_setup(seed)
+    return train_mechanism(
+        env,
+        mechanism,
+        TRAIN_DRILL["episodes"],
+        checkpoint_every=TRAIN_DRILL["checkpoint_every"],
+        checkpoint_dir=checkpoint_dir,
+    )
+
+
 def run_kill_resume_training(
     seed: int = 0,
     scratch_dir: Optional[str] = None,
-    kill_after_rounds: int = 1,
+    kill_after_checkpoints: int = 1,
     timeout: float = 300.0,
 ) -> Dict[str, object]:
     """SIGKILL a live checkpointed training run mid-curve, resume, compare.
@@ -455,9 +469,9 @@ def run_kill_resume_training(
     1. Run the drill recipe uninterrupted → golden training fingerprint
        + golden final-checkpoint digest.
     2. Launch ``python -m repro.resilience _child-train`` (a real
-       journaled, checkpointed ``train_parallel``) in its own session
-       and SIGKILL its whole process group once the journal holds
-       ``kill_after_rounds`` settled ``train_round`` records.
+       checkpointed ``train_mechanism``) in its own session and SIGKILL
+       its whole process group once its checkpoint directory holds
+       ``kill_after_checkpoints`` complete checkpoints.
     3. Resume in this process from the child's checkpoint directory.
     4. Require resumed fingerprint == golden fingerprint AND resumed
        final-checkpoint digest == golden final-checkpoint digest AND no
@@ -465,61 +479,29 @@ def run_kill_resume_training(
 
     Returns a report dict with both pairs, ``survivors`` and ``ok``.
     """
-    from repro.parallel.training import (
-        KIND_TRAIN_ROUND,
-        train_parallel,
-        training_fingerprint,
+    from repro.resilience.training import (
+        checkpoint_digest,
+        latest_checkpoint,
+        list_checkpoints,
     )
-    from repro.resilience.journal import RunJournal
-    from repro.resilience.training import checkpoint_digest, latest_checkpoint
+    from repro.testing.training import training_fingerprint
 
     scratch = Path(scratch_dir or tempfile.mkdtemp(prefix="kill-train-"))
     golden_dir = scratch / "golden-ckpt"
     drill_dir = scratch / "drill-ckpt"
-    journal_path = str(scratch / "train.journal.jsonl")
 
-    env, mechanism = kill_resume_training_setup(seed)
-    golden_history = train_parallel(
-        env,
-        mechanism,
-        TRAIN_DRILL["episodes"],
-        seed=seed,
-        sync_every=TRAIN_DRILL["sync_every"],
-        checkpoint_every=TRAIN_DRILL["checkpoint_every"],
-        checkpoint_dir=str(golden_dir),
-    )
-    golden_fp = training_fingerprint(golden_history)
+    golden_fp = training_fingerprint(_train_drill(seed, golden_dir))
     golden_ckpt = checkpoint_digest(latest_checkpoint(golden_dir))
 
     killed_mid_flight, survivors = _kill_mid_flight(
-        [
-            "_child-train",
-            "--journal",
-            journal_path,
-            "--dir",
-            str(drill_dir),
-            "--seed",
-            str(seed),
-        ],
-        lambda: _journaled(journal_path, KIND_TRAIN_ROUND),
-        kill_after_rounds,
+        ["_child-train", "--dir", str(drill_dir), "--seed", str(seed)],
+        lambda: len(list_checkpoints(drill_dir)),
+        kill_after_checkpoints,
         timeout,
     )
 
-    rounds_before_resume = _journaled(journal_path, KIND_TRAIN_ROUND)
-    env, mechanism = kill_resume_training_setup(seed)
-    with RunJournal(journal_path) as journal:
-        resumed_history = train_parallel(
-            env,
-            mechanism,
-            TRAIN_DRILL["episodes"],
-            seed=seed,
-            sync_every=TRAIN_DRILL["sync_every"],
-            checkpoint_every=TRAIN_DRILL["checkpoint_every"],
-            checkpoint_dir=str(drill_dir),
-            journal=journal,
-        )
-    resumed_fp = training_fingerprint(resumed_history)
+    checkpoints_before_resume = len(list_checkpoints(drill_dir))
+    resumed_fp = training_fingerprint(_train_drill(seed, drill_dir))
     resumed_ckpt = checkpoint_digest(latest_checkpoint(drill_dir))
 
     ok = (
@@ -534,10 +516,10 @@ def run_kill_resume_training(
         "killed_mid_flight": killed_mid_flight,
         "survivors": survivors,
         "episodes": TRAIN_DRILL["episodes"],
-        "rounds_journaled_before_resume": rounds_before_resume,
+        "checkpoints_before_resume": checkpoints_before_resume,
         "golden_fingerprint": golden_fp,
         "resumed_fingerprint": resumed_fp,
         "golden_checkpoint_digest": golden_ckpt,
         "resumed_checkpoint_digest": resumed_ckpt,
-        "journal": journal_path,
+        "checkpoint_dir": str(drill_dir),
     }

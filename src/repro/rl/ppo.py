@@ -3,7 +3,10 @@
 Follows the paper's training setup (§VI-A): actor-critic with learning
 rate 3e-5 decayed by 5% every 20 episodes, reward discount γ = 0.95, and
 an update batch equal to the episode length (the buffer is consumed once
-per episode when the budget is exhausted, Algorithm 1 lines 17-27).
+per episode when the budget is exhausted, Algorithm 1 lines 17-27; with
+``min_update_batch`` set, once enough episodes have accumulated).
+:meth:`PPOAgent.begin_collect` / :meth:`PPOAgent.take_collected` run a
+seeded collect-only episode and hand its transitions back as arrays.
 """
 
 from __future__ import annotations
@@ -159,8 +162,7 @@ class PPOAgent:
         self._shuffle_rng = shuffle_rng
         self.episodes_seen = 0
         # Armed by begin_collect(): raw (pre-normalization) observations
-        # captured alongside the buffered transitions so the live agent
-        # can replay them through its own normalizer.
+        # captured alongside the buffered transitions.
         self._collect_raw: Optional[list] = None
 
     # ------------------------------------------------------------------ #
@@ -238,16 +240,15 @@ class PPOAgent:
         self.buffer.push(self._normalize(obs), action, reward, value, log_prob, done)
 
     # ------------------------------------------------------------------ #
-    # seeded trajectory collection
+    # seeded collect-only episodes
     # ------------------------------------------------------------------ #
     def begin_collect(self, sample_seed: int) -> None:
-        """Enter collect-only mode for one seeded episode (snapshot side).
+        """Enter collect-only mode for one seeded episode.
 
         Rebases the exploration-noise stream on ``sample_seed`` and
         empties the rollout buffer, so the trajectory this agent collects
         is a pure function of ``(weights, obs-normalizer state,
-        sample_seed, env seed)`` — any transitions the live agent holds
-        stay with it, never duplicated through a snapshot copy.
+        sample_seed, env seed)``.
         """
         self.policy.reseed_sampler(sample_seed)
         self.buffer.clear()
@@ -257,9 +258,7 @@ class PPOAgent:
         """Flat arrays of the collected episode, leaving collect mode.
 
         The payload is :meth:`RolloutBuffer.columns` plus a ``raw_obs``
-        matrix of the pre-normalization observations in step order —
-        everything the parent needs to fold the episode into its own
-        buffer and normalizer via :meth:`absorb_collected`.
+        matrix of the pre-normalization observations in step order.
         """
         if self._collect_raw is None:
             raise RuntimeError("take_collected() outside begin_collect()")
@@ -271,22 +270,6 @@ class PPOAgent:
         self.buffer.clear()
         self._collect_raw = None
         return state
-
-    def absorb_collected(self, traj: dict) -> None:
-        """Fold one collected episode into this (live) agent.
-
-        Raw observations are replayed *row by row* through the live
-        normalizer — bit-identical to the per-step updates :meth:`act`
-        would have performed had the episode run here — and the buffered
-        transitions are appended in step order.  The round engine feeds
-        episodes in episode order, so a round's merge is a pure function
-        of its seeds.
-        """
-        raw = traj.get("raw_obs")
-        if self.obs_stat is not None and raw is not None:
-            for row in raw:
-                self.obs_stat.update(row)
-        self.buffer.extend(traj)
 
     # ------------------------------------------------------------------ #
     # learning

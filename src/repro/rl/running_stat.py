@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 
 class RunningMeanStd:
-    """Parallel-merge running mean and variance over vectors.
+    """Running mean and variance over vectors.
 
     Uses Chan et al.'s batch update, numerically stable for long streams.
     Matches the normalizer used by standard PPO implementations.
@@ -64,43 +64,6 @@ class RunningMeanStd:
         self.mean = new_mean
         self.var = m2 / total
         self.count = total
-
-    @classmethod
-    def merge(cls, parts: Sequence["RunningMeanStd"]) -> "RunningMeanStd":
-        """Combine independently accumulated stats (Chan parallel merge).
-
-        Folding ``k`` part-streams is exactly equivalent (to float
-        round-off) to a single stream that saw every batch, so
-        part-streams accumulated in separate processes can be reconciled
-        afterwards.  Counts are taken as-is: give secondary parts
-        ``epsilon=0.0`` so the regularizing prior is not counted once per
-        part.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("cannot merge zero RunningMeanStd parts")
-        shape = parts[0].mean.shape
-        for part in parts[1:]:
-            if part.mean.shape != shape:
-                raise ValueError(
-                    f"shape mismatch in merge: {part.mean.shape} vs {shape}"
-                )
-        merged = cls(shape, epsilon=0.0)
-        merged.mean = parts[0].mean.copy()
-        merged.var = parts[0].var.copy()
-        merged.count = float(parts[0].count)
-        for part in parts[1:]:
-            delta = part.mean - merged.mean
-            total = merged.count + part.count
-            if total == 0.0:
-                continue
-            m_a = merged.var * merged.count
-            m_b = part.var * part.count
-            m2 = m_a + m_b + delta**2 * merged.count * part.count / total
-            merged.mean = merged.mean + delta * part.count / total
-            merged.var = m2 / total
-            merged.count = total
-        return merged
 
     @property
     def std(self) -> np.ndarray:

@@ -113,8 +113,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print(
         "    Pinned seeded training curve: "
         f"{training_golden.RECIPE['episodes']} episodes of quick-tier "
-        "Chiron on the population_n5 fleet, "
-        f"{training_golden.RECIPE['sync_every']} episodes per round."
+        "Chiron on the population_n5 fleet."
     )
     return 0
 

@@ -1,12 +1,12 @@
 """Golden *training* trace: a pinned seeded training curve.
 
 The episode golden traces (:mod:`repro.testing.golden`) pin what one
-seeded episode computes; this module pins what a short seeded *training
-run* computes — the per-episode results and diagnostics emitted by
-:func:`repro.parallel.train_parallel` on the paper's N=5 fleet
-(the ``population_n5`` scenario's build) with a quick-tier Chiron
-mechanism — so the round engine's ``sync_every`` semantics and the
-absolute numbers stay fixed across commits.
+seeded episode computes; this module pins what a short *training run*
+computes — the per-episode results and diagnostics emitted by
+:func:`repro.experiments.runner.train_mechanism` on the paper's N=5
+fleet (the ``population_n5`` scenario's build) with a quick-tier Chiron
+mechanism — so the learning curve, its PPO update included, stays fixed
+across commits.
 
 ``verify`` re-runs the recipe from scratch and compares:
 
@@ -17,14 +17,19 @@ absolute numbers stay fixed across commits.
 
 ``update`` re-runs and rewrites the file.  Both are exposed through
 ``python -m repro.testing`` alongside the episode goldens.
+:func:`training_fingerprint` is also the digest the kill-mid-training
+chaos drill compares.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
 
+from repro.experiments.results import TrainingHistory
 from repro.testing.golden import VerifyReport, golden_path
 from repro.testing.trace import Divergence
 
@@ -37,20 +42,53 @@ SCHEMA = "repro.testing.training/v1"
 #: The pinned run recipe.  The build and seeds come from the
 #: ``population_n5`` scenario so the fleet is the same one the episode
 #: golden and the population-backend identity proof use; the run is long
-#: enough (four sync rounds) to cross PPO update boundaries.
+#: enough to cross a PPO update (after episode 6 at the quick tier's
+#: ``min_update_batch``) and train one episode past it.
 RECIPE = {
     "scenario": "population_n5",
     "mechanism": "chiron",
     "tier": "quick",
     "episodes": 8,
-    "sync_every": 2,
 }
+
+
+def training_rows(history: TrainingHistory) -> List[dict]:
+    """The canonical per-episode rows a training fingerprint digests.
+
+    One dict per episode: the :class:`EpisodeResult` fields plus the
+    float-coerced diagnostics — everything observable about the learning
+    curve, in episode order.
+    """
+    rows = []
+    for index, (result, diag) in enumerate(
+        zip(history.episodes, history.diagnostics)
+    ):
+        rows.append(
+            {
+                "episode": index,
+                "result": asdict(result),
+                "diagnostics": {k: float(v) for k, v in diag.items()},
+            }
+        )
+    return rows
+
+
+def rows_fingerprint(rows: List[dict]) -> str:
+    """sha256 over the canonical JSON form of :func:`training_rows`."""
+    canonical = json.dumps(rows, sort_keys=True, default=float)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def training_fingerprint(history: TrainingHistory) -> str:
+    """Digest of the full learning curve; equal digests mean bit-equal
+    training runs (every reward, loss and diagnostic matched)."""
+    return rows_fingerprint(training_rows(history))
 
 
 def capture_training() -> List[dict]:
     """Run the pinned recipe and return its canonical training rows."""
     from repro.experiments.mechanisms import make_mechanism
-    from repro.parallel.training import train_parallel, training_rows
+    from repro.experiments.runner import train_mechanism
     from repro.testing.scenarios import get_scenario
 
     scenario = get_scenario(RECIPE["scenario"])
@@ -61,20 +99,11 @@ def capture_training() -> List[dict]:
         rng=scenario.mechanism_seed,
         tier=RECIPE["tier"],
     )
-    history = train_parallel(
-        env,
-        mechanism,
-        RECIPE["episodes"],
-        seed=scenario.episode_seed,
-        sync_every=RECIPE["sync_every"],
-    )
-    return training_rows(history)
+    return training_rows(train_mechanism(env, mechanism, RECIPE["episodes"]))
 
 
 def training_payload(rows: List[dict]) -> dict:
     """The JSON payload committed as the golden training trace."""
-    from repro.parallel.training import rows_fingerprint
-
     return {
         "schema": SCHEMA,
         "name": GOLDEN_TRAINING_NAME,
@@ -104,9 +133,8 @@ def _training_divergence(
 ) -> Optional[Divergence]:
     """First episode/field where two training-row lists disagree.
 
-    Rows are the JSON-canonical output of
-    :func:`repro.parallel.training_rows`; comparison is exact (bitwise
-    float equality).
+    Rows are the JSON-canonical output of :func:`training_rows`;
+    comparison is exact (bitwise float equality).
     """
     if len(expected) != len(actual):
         return Divergence(
@@ -136,8 +164,6 @@ def _training_divergence(
 
 def verify_training_golden(directory: Optional[Path] = None) -> VerifyReport:
     """Re-run the pinned recipe and compare against the committed file."""
-    from repro.parallel.training import rows_fingerprint
-
     name = GOLDEN_TRAINING_NAME
     path = training_golden_path(directory)
     if not path.exists():

@@ -156,35 +156,6 @@ class TestGuards:
         results = evaluate_mechanism(env, mechanism, episodes=2)
         assert len(results) == 2
 
-    def test_unseeded_parallel_train_rejected(self):
-        # sync_every routes into repro.parallel.train_parallel, whose
-        # rounds need explicit per-episode seeds to stay deterministic.
-        env, mechanism = _env_and_mechanism(name="chiron")
-        with pytest.raises(ValueError, match="seed"):
-            train_mechanism(env, mechanism, episodes=1, sync_every=2)
-
-    def test_collect_incapable_mechanism_points_to_run_sweep(self):
-        # Mechanisms without the begin_collect/take_collected protocol
-        # can't train in seeded rounds; the error routes callers to the
-        # across-runs parallelism that does apply.
-        env, mechanism = _env_and_mechanism(name="greedy")
-        with pytest.raises(TypeError, match="run_sweep"):
-            train_mechanism(env, mechanism, episodes=1, seed=0)
-
-    def test_seeded_train_matches_train_parallel(self):
-        # train_mechanism(seed=...) is a thin wrapper over the round
-        # engine: same args, same curve.
-        from repro.parallel.training import (
-            train_parallel,
-            training_fingerprint,
-        )
-
-        env, mechanism = _env_and_mechanism(name="chiron")
-        wrapped = train_mechanism(env, mechanism, episodes=4, seed=17)
-        env, mechanism = _env_and_mechanism(name="chiron")
-        direct = train_parallel(env, mechanism, 4, seed=17)
-        assert training_fingerprint(wrapped) == training_fingerprint(direct)
-
     def test_invalid_workers_rejected(self):
         env, mechanism = _env_and_mechanism()
         with pytest.raises(ValueError):

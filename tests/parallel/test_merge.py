@@ -1,17 +1,11 @@
-"""Cross-process merges: registry snapshots and RunningMeanStd parts."""
+"""Cross-process merges: registry snapshots and span profiles."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.merge import (
-    merge_profiles,
-    merge_running_stats,
-    merge_snapshots,
-)
-from repro.rl.running_stat import RunningMeanStd
+from repro.parallel.merge import merge_profiles, merge_snapshots
 
 pytestmark = pytest.mark.parallel
 
@@ -110,56 +104,3 @@ class TestMergeProfiles:
         assert by_path["episode"]["count"] == 3
         assert by_path["episode"]["total"] == pytest.approx(1.5)
         assert by_path["episode > step"]["count"] == 9
-
-
-class TestMergeRunningStats:
-    def test_matches_single_stream_welford(self):
-        # The acceptance bound from the issue: exact within 1e-12 against
-        # one stream that saw every batch.
-        rng = np.random.default_rng(0)
-        batches = [rng.normal(size=(n, 3)) * s for n, s in
-                   [(17, 1.0), (5, 4.0), (40, 0.1), (1, 2.0), (23, 7.0)]]
-
-        single = RunningMeanStd(shape=(3,), epsilon=0.0)
-        for batch in batches:
-            single.update(batch)
-
-        parts = []
-        for i, batch in enumerate(batches):
-            part = RunningMeanStd(shape=(3,), epsilon=0.0)
-            part.update(batch)
-            parts.append(part)
-        merged = RunningMeanStd.merge(parts)
-
-        np.testing.assert_allclose(merged.mean, single.mean, atol=1e-12)
-        np.testing.assert_allclose(merged.var, single.var, atol=1e-12)
-        assert merged.count == pytest.approx(single.count, abs=1e-12)
-
-    def test_uneven_split_of_one_stream(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(100, 2))
-        single = RunningMeanStd(shape=(2,), epsilon=0.0)
-        single.update(data)
-        parts = []
-        for chunk in (data[:3], data[3:50], data[50:]):
-            part = RunningMeanStd(shape=(2,), epsilon=0.0)
-            part.update(chunk)
-            parts.append(part)
-        merged = merge_running_stats(parts)
-        np.testing.assert_allclose(merged.mean, single.mean, atol=1e-12)
-        np.testing.assert_allclose(merged.var, single.var, atol=1e-12)
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            RunningMeanStd.merge([])
-        with pytest.raises(ValueError):
-            RunningMeanStd.merge(
-                [RunningMeanStd(shape=(2,)), RunningMeanStd(shape=(3,))]
-            )
-
-    def test_single_part_roundtrip(self):
-        part = RunningMeanStd(shape=(2,), epsilon=0.0)
-        part.update(np.ones((4, 2)))
-        merged = RunningMeanStd.merge([part])
-        np.testing.assert_allclose(merged.mean, part.mean)
-        assert merged.count == part.count

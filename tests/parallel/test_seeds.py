@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel.seeds import episode_seeds, item_sequence, sweep_item_seeds
+from repro.parallel.seeds import episode_seeds
 from repro.utils.rng import spawn_seeds
 
 pytestmark = pytest.mark.parallel
@@ -62,11 +62,3 @@ class TestEngineSeedHelpers:
         assert episode_seeds(11, 6) == episode_seeds(11, 6)
         assert episode_seeds(11, 3) == episode_seeds(11, 6)[:3]
         assert episode_seeds(11, 4) != episode_seeds(12, 4)
-
-    def test_sweep_item_seeds_prefix_property(self):
-        assert sweep_item_seeds(0, 4) == sweep_item_seeds(0, 9)[:4]
-
-    def test_item_sequence_reproduces_generator_stream(self):
-        g1 = np.random.default_rng(item_sequence(5))
-        g2 = np.random.default_rng(item_sequence(5))
-        assert np.array_equal(g1.integers(0, 1000, 10), g2.integers(0, 1000, 10))

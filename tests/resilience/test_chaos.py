@@ -6,7 +6,6 @@ import pytest
 
 from repro.resilience.chaos import (
     EXPECTED_OUTCOME,
-    TRAIN_DRILL,
     ChaosConfig,
     chaos_items,
     kill_resume_grid,
@@ -103,14 +102,11 @@ class TestKillResumeTraining:
             mech_b.exterior.policy.flat_parameters(),
         )
 
-    def test_drill_checkpoints_every_round(self):
-        assert TRAIN_DRILL["sync_every"] == TRAIN_DRILL["checkpoint_every"]
-
     def test_sigkilled_training_resumes_to_golden(self, tmp_path):
         report = run_kill_resume_training(
             seed=0,
             scratch_dir=str(tmp_path),
-            kill_after_rounds=1,
+            kill_after_checkpoints=1,
         )
         assert report["ok"], report
         assert report["resumed_fingerprint"] == report["golden_fingerprint"]

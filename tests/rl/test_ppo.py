@@ -10,7 +10,7 @@ import pytest
 
 from repro.autograd.gradcheck import gradcheck
 from repro.nn import Parameter
-from repro.rl import PPOAgent, PPOConfig, RunningMeanStd
+from repro.rl import PPOAgent, PPOConfig
 from repro.rl.buffer import Batch
 from repro.rl.ppo import _clip_gradients
 
@@ -127,7 +127,7 @@ class TestCopyAfterActing:
 
 
 class TestCollectedPayload:
-    """``take_collected`` is what a seeded episode's snapshot hands back."""
+    """``take_collected`` returns a seeded collect-only episode as arrays."""
 
     def _collect(self, steps):
         agent = PPOAgent(4, 2, config=fast_config(), rng=0)
@@ -158,19 +158,6 @@ class TestCollectedPayload:
         assert payload["dones"].dtype == np.uint8
         assert payload["obs"].ndim == payload["raw_obs"].ndim == 2
         assert all(value.shape[0] == 0 for value in payload.values())
-
-    def test_absorb_replays_the_episode(self):
-        payload = self._collect(6)
-        parent = PPOAgent(4, 2, config=fast_config(), rng=0)
-        parent.absorb_collected(payload)
-        columns = parent.buffer.columns()
-        for key, value in columns.items():
-            np.testing.assert_array_equal(value, payload[key])
-        expected = RunningMeanStd((4,))
-        for row in payload["raw_obs"]:
-            expected.update(row)
-        np.testing.assert_array_equal(parent.obs_stat.mean, expected.mean)
-        np.testing.assert_array_equal(parent.obs_stat.var, expected.var)
 
 
 class TestLossGradcheck:

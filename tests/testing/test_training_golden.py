@@ -16,7 +16,7 @@ from repro.testing.training import (
     verify_training_golden,
 )
 
-pytestmark = [pytest.mark.golden, pytest.mark.parallel]
+pytestmark = pytest.mark.golden
 
 
 class TestCommittedGolden:
@@ -68,3 +68,13 @@ class TestHarness:
         assert payload["schema"].startswith("repro.testing.training/")
         assert payload["recipe"] == RECIPE
         assert len(payload["rows"]) == RECIPE["episodes"]
+
+    def test_recipe_crosses_a_ppo_update(self):
+        # The golden must pin a PPO update and an episode trained after
+        # it, not only rollouts of the initial policy.
+        rows = capture_training()
+        stats = {"exterior_approx_kl", "inner_approx_kl"}
+        updated = [
+            row["episode"] for row in rows if stats <= set(row["diagnostics"])
+        ]
+        assert updated and updated[0] < len(rows) - 1, updated
