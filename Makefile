@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test faults bench train-resume-test parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test
+.PHONY: install test faults bench parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -63,13 +63,6 @@ chaos-smoke:
 # from the journal, require the golden fingerprint bit for bit.
 resume-test:
 	$(PYTHON) -m repro.resilience resume-test
-
-# SIGKILL drill for training: kill a checkpointed training run once it
-# has written a checkpoint, resume from the checkpoints in process,
-# require the golden learning curve AND the golden checkpoint digest bit
-# for bit.
-train-resume-test:
-	$(PYTHON) -m repro.resilience train-resume-test
 
 # Just the mechanism-zoo suite (Stackelberg/FMore/BARA/Ding; part of `test`).
 zoo:

@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
-"""Train → checkpoint → reload → deploy: the persistence workflow.
+"""Train → save → reload → deploy: the policy-export workflow.
 
-Trains Chiron with *auto-checkpointing* (``checkpoint_every=``), kills
-the run mid-training, resumes it bitwise from the newest checkpoint,
-then saves both sub-agents into one ``.npz`` archive, restores into a
-freshly constructed agent, and verifies the restored policy prices
-identically.  Also shows per-round telemetry export for the deployed
-run.
+Trains Chiron, saves both sub-agents into one ``.npz`` archive, restores
+it into a freshly constructed agent, verifies the restored policy prices
+identically, then deploys it with per-round telemetry export.
 
 Run:  python examples/checkpoint_workflow.py
 """
@@ -17,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import build_environment
+from repro.core.mechanism import Observation
 from repro.experiments import make_mechanism, record_episode, train_mechanism
 
 
@@ -28,30 +26,12 @@ def main() -> None:
     env = build.env
     workdir = Path(tempfile.mkdtemp(prefix="chiron-ckpt-"))
 
-    # 1. Train with auto-checkpointing: every 20 completed episodes an
-    #    atomic checkpoint (agent + env RNG streams + history) lands in
-    #    ckpt_dir, so a crash loses at most 19 episodes of work.
-    ckpt_dir = workdir / "auto"
+    # 1. Train.
     agent = make_mechanism("chiron", env, rng=1, tier="quick")
-    history = train_mechanism(
-        env, agent, episodes=80,
-        checkpoint_every=20, checkpoint_dir=ckpt_dir,
-    )
-    print(f"trained {len(history)} episodes (checkpoints in {ckpt_dir})")
+    history = train_mechanism(env, agent, episodes=80)
+    print(f"trained {len(history)} episodes")
 
-    # 1b. Simulate a crash + rerun: a fresh agent pointed at the same
-    #     directory resumes from episode 80 — nothing left to do, and
-    #     the restored history is the one the first run produced.
-    rerun_agent = make_mechanism("chiron", env, rng=1, tier="quick")
-    resumed = train_mechanism(
-        env, rerun_agent, episodes=80,
-        checkpoint_every=20, checkpoint_dir=ckpt_dir,
-    )
-    assert len(resumed) == len(history)
-    print("rerun resumed from the final checkpoint: 0 episodes re-trained ✓")
-    agent = rerun_agent  # the restored agent is the trained agent
-
-    # 2. Checkpoint (plain npz: portable, no pickling).
+    # 2. Save (plain npz: portable, no pickling).
     path = agent.save(workdir / "chiron.npz")
     print(f"saved checkpoint: {path} ({path.stat().st_size / 1024:.1f} KiB)")
 
@@ -62,13 +42,11 @@ def main() -> None:
 
     # 4. Verify behavioural equality against the original (frozen).
     agent.eval_mode()
-    from repro.core.mechanism import Observation
-
     state, _ = env.reset()
     obs = Observation(state, env.ledger.remaining, 0)
     agent.begin_episode(obs)
     deployed.begin_episode(obs)
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(
         agent.propose_prices(obs), deployed.propose_prices(obs)
     )
     print("restored policy prices identically ✓")

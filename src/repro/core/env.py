@@ -649,46 +649,3 @@ class EdgeLearningEnv:
             record["terminated"] = bool(result.done and not result.truncated)
             record["truncated"] = bool(result.truncated)
             _obs.event("env.round", record)
-
-    # ------------------------------------------------------------------ #
-    # persistence (crash-safe training resume — see repro.resilience)
-    # ------------------------------------------------------------------ #
-    def rng_checkpoint(self) -> dict:
-        """The env's cross-episode stochastic state, JSON-serializable.
-
-        At an episode boundary everything per-episode (ledger, encoder,
-        churn stream, fault/reliability trackers) is a pure function of
-        ``(seed_base, episode_index)`` and is re-derived by ``reset()``;
-        the only state that *advances* across unseeded episodes is the
-        learning process's noise stream.  Capturing these three pieces is
-        therefore sufficient for a resumed training run to replay
-        ``reset()``/``step()`` bit-for-bit.
-        """
-        state = {
-            "seed_base": int(self._seed_base),
-            "episode": int(self._episode),
-        }
-        rng = getattr(self.learning, "_rng", None)
-        if isinstance(rng, np.random.Generator):
-            state["learning_rng"] = rng.bit_generator.state
-        return state
-
-    def restore_rng_checkpoint(self, state: dict) -> None:
-        """Inverse of :meth:`rng_checkpoint` (call before the next reset)."""
-        self._seed_base = int(state["seed_base"])
-        self._episode = int(state["episode"])
-        packed = state.get("learning_rng")
-        if packed is not None:
-            rng = getattr(self.learning, "_rng", None)
-            if not isinstance(rng, np.random.Generator):
-                raise TypeError(
-                    "checkpoint carries a learning-RNG state but "
-                    f"{type(self.learning).__name__} has no generator"
-                )
-            expected = type(rng.bit_generator).__name__
-            if packed.get("bit_generator") != expected:
-                raise ValueError(
-                    f"checkpointed stream is {packed.get('bit_generator')!r}"
-                    f", environment uses {expected!r}"
-                )
-            rng.bit_generator.state = packed

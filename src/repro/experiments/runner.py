@@ -4,7 +4,9 @@
 budget-bounded episode.  :func:`train_mechanism` and
 :func:`evaluate_mechanism` run it one episode at a time; training has
 one algorithm, the live mechanism learning from its own episodes
-(Algorithm 1).
+(Algorithm 1) in one pass, with no checkpoint or resume.  A trained
+policy leaves the process through the mechanism's own ``save``/``load``
+(:mod:`repro.rl.checkpoint`).
 """
 
 from __future__ import annotations
@@ -84,69 +86,20 @@ def train_mechanism(
     mechanism: IncentiveMechanism,
     episodes: int,
     log_every: Optional[int] = None,
-    *,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    guard=None,
 ) -> TrainingHistory:
     """Train a mechanism for ``episodes`` budget-bounded episodes.
 
     Each episode runs on the live ``(env, mechanism)`` pair and the
     mechanism updates itself when the budget runs out (Algorithm 1,
     lines 17–27).
-
-    ``checkpoint_every=N`` (with ``checkpoint_dir``) makes the run
-    *crash-safe*: every N completed episodes the mechanism's
-    full-fidelity checkpoint plus the environment's cross-episode RNG
-    state and the history so far are written atomically (see
-    :mod:`repro.resilience.training`).  A rerun pointing at the same
-    directory restores its newest checkpoint and continues
-    *bitwise-identically* to the run that was never killed — requires a
-    mechanism exposing ``save``/``load``.  ``guard`` (a
-    :class:`~repro.resilience.signals.ShutdownGuard`) stops at the next
-    episode boundary on SIGTERM/SIGINT, writing a final checkpoint when
-    checkpointing is configured; the returned history is then partial.
     """
     check_positive("episodes", episodes)
-    checkpointing = checkpoint_every is not None or checkpoint_dir is not None
-    if checkpointing:
-        if checkpoint_every is None or checkpoint_dir is None:
-            raise ValueError(
-                "checkpoint_every and checkpoint_dir must be set together"
-            )
-        check_positive("checkpoint_every", checkpoint_every)
-        if not (hasattr(mechanism, "save") and hasattr(mechanism, "load")):
-            raise TypeError(
-                f"mechanism {mechanism.name!r} has no save/load and cannot "
-                "be checkpointed"
-            )
     if hasattr(mechanism, "train_mode"):
         mechanism.train_mode()
     history = TrainingHistory(mechanism=mechanism.name)
-    start_episode = 0
-    if checkpointing:
-        from repro.resilience.training import (
-            latest_checkpoint,
-            load_training_checkpoint,
-            save_training_checkpoint,
-        )
-
-        newest = latest_checkpoint(checkpoint_dir)
-        if newest is not None:
-            start_episode, history = load_training_checkpoint(
-                newest, mechanism, env
-            )
-            if start_episode >= episodes:
-                return history
-    for episode_idx in range(start_episode, episodes):
-        if guard is not None and guard.draining:
-            break
+    for episode_idx in range(episodes):
         result, diag = run_episode(env, mechanism)
         history.append(result, diag)
-        if checkpointing and (episode_idx + 1) % checkpoint_every == 0:
-            save_training_checkpoint(
-                checkpoint_dir, mechanism, env, history, episode_idx + 1
-            )
         if log_every and (episode_idx + 1) % log_every == 0:
             _log.info(
                 "%s episode %d/%d: reward=%.1f acc=%.3f rounds=%d eff=%.2f",
@@ -158,14 +111,6 @@ def train_mechanism(
                 result.rounds,
                 result.mean_time_efficiency,
             )
-    else:
-        return history
-    # Drained by the guard: persist the boundary we stopped at so the
-    # rerun continues exactly here instead of replaying episodes.
-    if checkpointing and len(history) > start_episode:
-        save_training_checkpoint(
-            checkpoint_dir, mechanism, env, history, len(history)
-        )
     return history
 
 

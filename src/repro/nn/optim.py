@@ -115,8 +115,7 @@ class Adam(Optimizer):
         """First/second moments and step count as flat arrays.
 
         Before the first :meth:`step` the moments read as zeros, matching
-        their lazy initialization, so the round trip through
-        :meth:`load_flat_state` is exact at any training point.
+        their lazy initialization.
         """
         if self._m is None:
             m = np.zeros(self._size())
@@ -129,22 +128,6 @@ class Adam(Optimizer):
             "v": v,
             "step_count": np.array([self._step_count], dtype=np.int64),
         }
-
-    def load_flat_state(
-        self, m: np.ndarray, v: np.ndarray, step_count: int
-    ) -> None:
-        """Restore moments written by :meth:`flat_state`."""
-        total = self._size()
-        m = np.array(m, dtype=np.float64).ravel()
-        v = np.array(v, dtype=np.float64).ravel()
-        if m.size != total or v.size != total:
-            raise ValueError(
-                f"moment vectors of size {m.size}/{v.size} do not match "
-                f"{total} optimized parameters"
-            )
-        self._m = m
-        self._v = v
-        self._step_count = int(step_count)
 
     def step(self) -> None:
         self._step_count += 1
@@ -196,17 +179,6 @@ class ExponentialLR:
         self.gamma = float(gamma)
         self.every = int(every)
         self._ticks = 0
-
-    @property
-    def ticks(self) -> int:
-        """Completed :meth:`step` calls (decides when the next decay fires)."""
-        return self._ticks
-
-    def load_ticks(self, ticks: int) -> None:
-        """Restore the tick counter from a checkpoint."""
-        if ticks < 0:
-            raise ValueError(f"ticks must be >= 0, got {ticks}")
-        self._ticks = int(ticks)
 
     def step(self) -> float:
         """Advance one tick; returns the (possibly updated) learning rate."""

@@ -1,10 +1,8 @@
-"""``repro.resilience`` — crash-safe durability for long runs.
+"""``repro.resilience`` — crash-safe sweeps.
 
-The paper's mechanism is *long-term*: its value shows up over many
-federated rounds and many training episodes, which in practice means
-multi-hour runs on infrastructure that preempts, OOM-kills and reboots.
-This package makes those runs durable without giving up the repo's
-determinism contract:
+A sweep fans many mechanism × budget × seed cells over a process pool;
+this package lets an interrupted sweep pick up where it stopped without
+giving up the repo's determinism contract:
 
 * :mod:`repro.resilience.journal` — append-only JSONL write-ahead log
   with per-record sha256 and batched fsync; the reader tolerates exactly
@@ -14,23 +12,20 @@ determinism contract:
   every settled item is journaled as it drains; a rerun replays the
   journal, executes only the remainder, and reproduces the
   uninterrupted ``SweepResult.fingerprint()`` bit for bit.
-* :mod:`repro.resilience.training` — ``train_mechanism(...,
-  checkpoint_every=N, checkpoint_dir=...)``: atomic full-fidelity
-  checkpoints (agent + env RNG streams + history) every N episodes,
-  with bitwise-identical resume after ``kill -9``.
 * :mod:`repro.resilience.signals` — :class:`ShutdownGuard` turns
   SIGTERM/SIGINT into a cooperative drain: in-flight work finishes, the
   journal flushes, and a resumable manifest is written.
 * :mod:`repro.resilience.chaos` — deterministic fault injection (worker
   kills, hangs, unpicklable results, parent-process SIGKILL) proving
-  the retry/quarantine/resume paths end-to-end for sweeps *and* for
-  checkpointed training (``run_kill_resume_training``); also the CLI
-  ``python -m repro.resilience chaos|resume-test|train-resume-test|inspect``.
+  the retry/quarantine/resume paths end-to-end; also the CLI
+  ``python -m repro.resilience chaos|resume-test|inspect``.
+
+Training runs in one pass and has no checkpoint; a trained policy is
+exported with ``ChironAgent.save``/``load`` (:mod:`repro.rl.checkpoint`).
 
 Everything surfaces through :mod:`repro.obs` counters
 (``resilience.journal.*``, ``resilience.resume.*``,
-``resilience.checkpoint.*``, ``resilience.chaos.*``).  See
-``docs/resilience.md``.
+``resilience.chaos.*``).  See ``docs/resilience.md``.
 """
 
 from repro.resilience.chaos import (
@@ -39,7 +34,6 @@ from repro.resilience.chaos import (
     chaos_items,
     run_chaos,
     run_kill_resume,
-    run_kill_resume_training,
 )
 from repro.resilience.journal import (
     JournalCorrupt,
@@ -55,14 +49,6 @@ from repro.resilience.sweep import (
     manifest_digest,
     sweep_progress,
 )
-from repro.resilience.training import (
-    checkpoint_digest,
-    latest_checkpoint,
-    list_checkpoints,
-    load_training_checkpoint,
-    prune_checkpoints,
-    save_training_checkpoint,
-)
 
 __all__ = [
     "RunJournal",
@@ -76,16 +62,9 @@ __all__ = [
     "sweep_progress",
     "ShutdownGuard",
     "ShutdownRequested",
-    "save_training_checkpoint",
-    "load_training_checkpoint",
-    "latest_checkpoint",
-    "list_checkpoints",
-    "prune_checkpoints",
-    "checkpoint_digest",
     "ChaosConfig",
     "ChaosReport",
     "chaos_items",
     "run_chaos",
     "run_kill_resume",
-    "run_kill_resume_training",
 ]

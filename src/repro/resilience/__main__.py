@@ -9,15 +9,8 @@ Commands::
     resume-test  parent-death drill: SIGKILL a live 2-worker journaled
                  sweep mid-grid, resume from the journal, require the
                  resumed fingerprint to equal the uninterrupted one.
-    train-resume-test
-                 kill-mid-training drill: SIGKILL a live checkpointed
-                 ``train_mechanism`` run once it has written >= 1
-                 checkpoint, resume in process, require the resumed
-                 training fingerprint and final checkpoint digest to
-                 equal an uninterrupted run's.
     inspect      summarize a journal file (records by kind, completion).
     _child-sweep (internal) the subprocess body resume-test kills.
-    _child-train (internal) the subprocess body train-resume-test kills.
 """
 
 from __future__ import annotations
@@ -64,26 +57,6 @@ def _cmd_resume_test(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _cmd_train_resume_test(args: argparse.Namespace) -> int:
-    from repro.resilience.chaos import run_kill_resume_training
-
-    report = run_kill_resume_training(
-        seed=args.seed,
-        kill_after_checkpoints=args.kill_after,
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if not report["killed_mid_flight"]:
-        print(
-            "note: child finished before the kill landed; fingerprint "
-            "identity still verified",
-            file=sys.stderr,
-        )
-    print(
-        "train-resume-test: OK" if report["ok"] else "train-resume-test: FAILED"
-    )
-    return 0 if report["ok"] else 1
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.resilience.sweep import sweep_progress
 
@@ -101,14 +74,6 @@ def _cmd_child_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         journal=args.journal,
     )
-    return 0
-
-
-def _cmd_child_train(args: argparse.Namespace) -> int:
-    """Internal: the training body the train-resume-test drill kills."""
-    from repro.resilience.chaos import _train_drill
-
-    _train_drill(args.seed, args.dir)
     return 0
 
 
@@ -137,19 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument("--journal", help="journal path (default: temp)")
     p_resume.set_defaults(func=_cmd_resume_test)
 
-    p_train_resume = sub.add_parser(
-        "train-resume-test",
-        help="SIGKILL a live checkpointed training run, resume, compare",
-    )
-    p_train_resume.add_argument("--seed", type=int, default=0)
-    p_train_resume.add_argument(
-        "--kill-after",
-        type=int,
-        default=1,
-        help="training checkpoints written before the SIGKILL",
-    )
-    p_train_resume.set_defaults(func=_cmd_train_resume_test)
-
     p_inspect = sub.add_parser("inspect", help="summarize a journal file")
     p_inspect.add_argument("journal")
     p_inspect.set_defaults(func=_cmd_inspect)
@@ -159,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_child.add_argument("--workers", type=int, default=2)
     p_child.add_argument("--journal", required=True)
     p_child.set_defaults(func=_cmd_child_sweep)
-
-    p_child_train = sub.add_parser("_child-train")
-    p_child_train.add_argument("--seed", type=int, default=0)
-    p_child_train.add_argument("--dir", required=True)
-    p_child_train.set_defaults(func=_cmd_child_train)
     return parser
 
 

@@ -1,6 +1,6 @@
 """Deterministic chaos harness for the resilience layer.
 
-Three proofs, all runnable from CI (``python -m repro.resilience``):
+Two proofs, both runnable from CI (``python -m repro.resilience``):
 
 * :func:`run_chaos` — build a seeded mixture of deliberately misbehaving
   work items (worker-killing crashes, hangs past the item timeout,
@@ -16,15 +16,6 @@ Three proofs, all runnable from CI (``python -m repro.resilience``):
   resumed :meth:`~repro.parallel.engine.SweepResult.fingerprint` to be
   bit-identical to an uninterrupted run's and no process of the group to
   survive.
-* :func:`run_kill_resume_training` — the same drill for *training*:
-  launch a checkpointed
-  :func:`~repro.experiments.runner.train_mechanism` run in a subprocess,
-  ``SIGKILL`` its process group once its checkpoint directory holds a
-  checkpoint, resume in process from that directory, and require both
-  the resumed run's
-  :func:`~repro.testing.training.training_fingerprint` and its final
-  checkpoint's :func:`~repro.resilience.training.checkpoint_digest` to
-  equal an uninterrupted run's, again with no survivor in the group.
 
 Chaos is *deterministic*: the item mixture is a pure function of the
 seed, so a failing run reproduces exactly.  (Which worker a crash lands
@@ -60,9 +51,6 @@ __all__ = [
     "run_chaos",
     "run_kill_resume",
     "kill_resume_grid",
-    "run_kill_resume_training",
-    "kill_resume_training_setup",
-    "TRAIN_DRILL",
 ]
 
 _log = get_logger("resilience.chaos")
@@ -406,120 +394,4 @@ def run_kill_resume(
         "golden_fingerprint": golden.fingerprint(),
         "resumed_fingerprint": resumed.fingerprint(),
         "journal": journal_path,
-    }
-
-
-# --------------------------------------------------------------------- #
-# kill-mid-training drill
-# --------------------------------------------------------------------- #
-#: Training-run shape the drill uses (shared by the golden run, the
-#: killed child, and the resume).  A checkpoint lands every two episodes,
-#: so a kill after any checkpoint leaves a resume point.
-TRAIN_DRILL: Dict[str, int] = {
-    "episodes": 8,
-    "checkpoint_every": 2,
-}
-
-
-def kill_resume_training_setup(seed: int = 0):
-    """The seeded ``(env, mechanism)`` pair the training drill trains.
-
-    A small quick-tier Chiron run on the 4-node surrogate fleet —
-    rebuilt identically by the golden run, the child process, and the
-    resume (everything is a pure function of ``seed``).
-    """
-    from repro.core.builder import build_environment
-    from repro.experiments.mechanisms import make_mechanism
-
-    build = build_environment(
-        task_name="mnist",
-        n_nodes=4,
-        budget=15.0,
-        accuracy_mode="surrogate",
-        seed=123,
-        max_rounds=25,
-    )
-    mechanism = make_mechanism("chiron", build.env, rng=seed, tier="quick")
-    return build.env, mechanism
-
-
-def _train_drill(seed: int, checkpoint_dir):
-    """Train the drill recipe, resuming from ``checkpoint_dir``'s newest
-    checkpoint if it holds one."""
-    from repro.experiments.runner import train_mechanism
-
-    env, mechanism = kill_resume_training_setup(seed)
-    return train_mechanism(
-        env,
-        mechanism,
-        TRAIN_DRILL["episodes"],
-        checkpoint_every=TRAIN_DRILL["checkpoint_every"],
-        checkpoint_dir=checkpoint_dir,
-    )
-
-
-def run_kill_resume_training(
-    seed: int = 0,
-    scratch_dir: Optional[str] = None,
-    kill_after_checkpoints: int = 1,
-    timeout: float = 300.0,
-) -> Dict[str, object]:
-    """SIGKILL a live checkpointed training run mid-curve, resume, compare.
-
-    1. Run the drill recipe uninterrupted → golden training fingerprint
-       + golden final-checkpoint digest.
-    2. Launch ``python -m repro.resilience _child-train`` (a real
-       checkpointed ``train_mechanism``) in its own session and SIGKILL
-       its whole process group once its checkpoint directory holds
-       ``kill_after_checkpoints`` complete checkpoints.
-    3. Resume in this process from the child's checkpoint directory.
-    4. Require resumed fingerprint == golden fingerprint AND resumed
-       final-checkpoint digest == golden final-checkpoint digest AND no
-       process of the killed group left alive (``survivors == 0``).
-
-    Returns a report dict with both pairs, ``survivors`` and ``ok``.
-    """
-    from repro.resilience.training import (
-        checkpoint_digest,
-        latest_checkpoint,
-        list_checkpoints,
-    )
-    from repro.testing.training import training_fingerprint
-
-    scratch = Path(scratch_dir or tempfile.mkdtemp(prefix="kill-train-"))
-    golden_dir = scratch / "golden-ckpt"
-    drill_dir = scratch / "drill-ckpt"
-
-    golden_fp = training_fingerprint(_train_drill(seed, golden_dir))
-    golden_ckpt = checkpoint_digest(latest_checkpoint(golden_dir))
-
-    killed_mid_flight, survivors = _kill_mid_flight(
-        ["_child-train", "--dir", str(drill_dir), "--seed", str(seed)],
-        lambda: len(list_checkpoints(drill_dir)),
-        kill_after_checkpoints,
-        timeout,
-    )
-
-    checkpoints_before_resume = len(list_checkpoints(drill_dir))
-    resumed_fp = training_fingerprint(_train_drill(seed, drill_dir))
-    resumed_ckpt = checkpoint_digest(latest_checkpoint(drill_dir))
-
-    ok = (
-        resumed_fp == golden_fp
-        and resumed_ckpt == golden_ckpt
-        and survivors == 0
-    )
-    if _obs.enabled():
-        _obs.counter("resilience.chaos.parent_kills").inc()
-    return {
-        "ok": ok,
-        "killed_mid_flight": killed_mid_flight,
-        "survivors": survivors,
-        "episodes": TRAIN_DRILL["episodes"],
-        "checkpoints_before_resume": checkpoints_before_resume,
-        "golden_fingerprint": golden_fp,
-        "resumed_fingerprint": resumed_fp,
-        "golden_checkpoint_digest": golden_ckpt,
-        "resumed_checkpoint_digest": resumed_ckpt,
-        "checkpoint_dir": str(drill_dir),
     }

@@ -1,9 +1,9 @@
 """Durable append-only run journal (JSONL write-ahead log).
 
 A :class:`RunJournal` is the crash-safety primitive of the resilience
-layer: completed units of work (sweep items, training episodes,
-checkpoints, quarantine verdicts) are appended as one JSON line each
-*before* the in-memory result is considered durable.  Records carry:
+layer: completed units of work (sweep items and quarantine verdicts)
+are appended as one JSON line each *before* the in-memory result is
+considered durable.  Records carry:
 
 * ``seq`` — a strictly increasing sequence number, so replay detects
   reordered or spliced files;

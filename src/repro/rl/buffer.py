@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.utils.rng import RNGLike, as_generator
 from repro.utils.validation import check_in_range, check_positive
-
-#: Column names, in payload and checkpoint order.
-FIELDS = ("obs", "actions", "rewards", "values", "log_probs", "dones")
 
 #: Rows allocated when the first row arrives; storage doubles past it.
 _INITIAL_CAPACITY = 64
@@ -49,10 +46,9 @@ class RolloutBuffer:
     transitions accumulate over an episode and are consumed in one on-policy
     update when the budget runs out, then cleared.
 
-    Rows live in one growable array per field (:data:`FIELDS`; ``dones``
-    as ``uint8``, the rest ``float64``).  :meth:`push` appends one row,
-    :meth:`extend` appends a block of rows in :meth:`columns` form — the
-    form checkpoints and seeded collection hand trajectories over in.
+    Rows live in one growable array per field (``obs``, ``actions``,
+    ``rewards``, ``values``, ``log_probs``, ``dones``; ``dones`` as
+    ``uint8``, the rest ``float64``), and :meth:`push` appends one row.
     """
 
     def __init__(self, gamma: float = 0.95, gae_lambda: float = 0.95):
@@ -67,11 +63,11 @@ class RolloutBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _reserve(self, rows: int, obs_shape: tuple, act_shape: tuple) -> None:
-        """Make room for ``rows`` more rows with the given row shapes."""
+    def _reserve(self, obs_shape: tuple, act_shape: tuple) -> None:
+        """Make room for one more row with the given row shapes."""
         cols = self._cols
         if not cols:
-            cap = max(_INITIAL_CAPACITY, rows)
+            cap = _INITIAL_CAPACITY
             self._cols = {
                 "obs": np.empty((cap,) + obs_shape),
                 "actions": np.empty((cap,) + act_shape),
@@ -87,12 +83,10 @@ class RolloutBuffer:
                 f"match the buffer's obs {cols['obs'].shape[1:]}, actions "
                 f"{cols['actions'].shape[1:]}"
             )
-        need = self._size + rows
         cap = cols["rewards"].shape[0]
-        if need <= cap:
+        if self._size < cap:
             return
-        while cap < need:
-            cap *= 2
+        cap *= 2
         for name, col in cols.items():
             grown = np.empty((cap,) + col.shape[1:], dtype=col.dtype)
             grown[: self._size] = col[: self._size]
@@ -110,7 +104,7 @@ class RolloutBuffer:
         """Append one transition (the arrays are copied in)."""
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
-        self._reserve(1, obs.shape, action.shape)
+        self._reserve(obs.shape, action.shape)
         i = self._size
         cols = self._cols
         cols["obs"][i] = obs
@@ -120,29 +114,6 @@ class RolloutBuffer:
         cols["log_probs"][i] = float(log_prob)
         cols["dones"][i] = bool(done)
         self._size = i + 1
-
-    def extend(self, columns: Mapping[str, np.ndarray]) -> None:
-        """Append a block of rows given in :meth:`columns` form.
-
-        Keys beyond :data:`FIELDS` (e.g. a collected episode's
-        ``raw_obs``) are ignored.  Extending by consecutive chunks of one
-        stream is bit-equal to pushing the stream row by row.
-        """
-        arrays = {name: np.asarray(columns[name]) for name in FIELDS}
-        rows = arrays["rewards"].shape[0]
-        for name, array in arrays.items():
-            if array.shape[0] != rows:
-                raise ValueError(
-                    f"column {name!r} has {array.shape[0]} rows, "
-                    f"'rewards' has {rows}"
-                )
-        if rows == 0:
-            return
-        self._reserve(rows, arrays["obs"].shape[1:], arrays["actions"].shape[1:])
-        lo, hi = self._size, self._size + rows
-        for name, array in arrays.items():
-            self._cols[name][lo:hi] = array
-        self._size = hi
 
     def columns(self) -> Dict[str, np.ndarray]:
         """The stored rows as one array per field (copies).

@@ -17,8 +17,6 @@ across commits.
 
 ``update`` re-runs and rewrites the file.  Both are exposed through
 ``python -m repro.testing`` alongside the episode goldens.
-:func:`training_fingerprint` is also the digest the kill-mid-training
-chaos drill compares.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ def rows_fingerprint(rows: List[dict]) -> str:
     """sha256 over the canonical JSON form of :func:`training_rows`."""
     canonical = json.dumps(rows, sort_keys=True, default=float)
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def training_fingerprint(history: TrainingHistory) -> str:
-    """Digest of the full learning curve; equal digests mean bit-equal
-    training runs (every reward, loss and diagnostic matched)."""
-    return rows_fingerprint(training_rows(history))
 
 
 def capture_training() -> List[dict]:

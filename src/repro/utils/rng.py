@@ -8,43 +8,11 @@ single integer seed reproduces an entire experiment bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
 RNGLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
-
-
-def pack_generator_state(gen: np.random.Generator) -> np.ndarray:
-    """A generator's full bit-generator state as a ``uint8`` array.
-
-    The state dict (`gen.bit_generator.state`) is JSON-serialized — its
-    128-bit PCG64 integers survive Python's arbitrary-precision JSON round
-    trip — and returned as raw bytes, so it fits an ``.npz`` archive
-    without pickling.  Restoring with :func:`restore_generator_state`
-    resumes the stream at the exact position, enabling bitwise-identical
-    continuation after a checkpoint round trip.
-    """
-    state = gen.bit_generator.state
-    blob = json.dumps(state, sort_keys=True).encode("utf-8")
-    return np.frombuffer(blob, dtype=np.uint8).copy()
-
-
-def restore_generator_state(
-    gen: np.random.Generator, packed: np.ndarray
-) -> np.random.Generator:
-    """Inverse of :func:`pack_generator_state` (mutates ``gen`` in place)."""
-    blob = bytes(np.asarray(packed, dtype=np.uint8).tobytes())
-    state = json.loads(blob.decode("utf-8"))
-    expected = type(gen.bit_generator).__name__
-    if state.get("bit_generator") != expected:
-        raise ValueError(
-            f"packed state is for {state.get('bit_generator')!r}, but the "
-            f"generator uses {expected!r}"
-        )
-    gen.bit_generator.state = state
-    return gen
 
 
 def as_generator(rng: RNGLike = None) -> np.random.Generator:

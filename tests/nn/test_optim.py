@@ -102,41 +102,6 @@ class TestAdam:
             for p, want in zip(params, expected):
                 np.testing.assert_array_equal(p.data, want)
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_flat_state_round_trip_then_continue(self, rng, k):
-        shapes = [(3, 4), (4,), (1,)]
-        values = [rng.normal(size=shape) for shape in shapes]
-        grads = [[rng.normal(size=shape) for shape in shapes] for _ in range(5)]
-        grads[k][1] = None
-        expected = self.reference_adam(values, grads, 0.05, 0.01)
-
-        params = [make_param(v.copy()) for v in values]
-        opt = Adam(params, lr=0.05, weight_decay=0.01)
-        for step_grads in grads[:k]:
-            for p, g in zip(params, step_grads):
-                p.grad = None if g is None else g.copy()
-            opt.step()
-        state = opt.flat_state()
-        assert state["m"].shape == state["v"].shape == (17,)
-
-        resumed = [make_param(p.data.copy()) for p in params]
-        opt = Adam(resumed, lr=0.05, weight_decay=0.01)
-        opt.load_flat_state(state["m"], state["v"], int(state["step_count"][0]))
-        assert opt.step_count == k
-        for key, value in opt.flat_state().items():
-            np.testing.assert_array_equal(value, state[key])
-        for step_grads in grads[k:]:
-            for p, g in zip(resumed, step_grads):
-                p.grad = None if g is None else g.copy()
-            opt.step()
-        for p, want in zip(resumed, expected):
-            np.testing.assert_array_equal(p.data, want)
-
-    def test_load_flat_state_rejects_wrong_size(self):
-        opt = Adam([make_param([1.0, 2.0])], lr=0.1)
-        with pytest.raises(ValueError):
-            opt.load_flat_state(np.zeros(3), np.zeros(3), 1)
-
     def test_weight_decay(self):
         p = make_param([1.0])
         p.grad = np.array([0.0])

@@ -9,10 +9,8 @@ from repro.resilience.chaos import (
     ChaosConfig,
     chaos_items,
     kill_resume_grid,
-    kill_resume_training_setup,
     run_chaos,
     run_kill_resume,
-    run_kill_resume_training,
 )
 
 pytestmark = pytest.mark.resilience
@@ -88,30 +86,4 @@ class TestKillResume:
         )
         # The SIGKILL takes the driver's spawn workers and resource
         # tracker with it: nothing is left orphaned.
-        assert report["survivors"] == 0
-
-
-class TestKillResumeTraining:
-    def test_setup_is_deterministic(self):
-        _env_a, mech_a = kill_resume_training_setup(0)
-        _env_b, mech_b = kill_resume_training_setup(0)
-        import numpy as np
-
-        np.testing.assert_array_equal(
-            mech_a.exterior.policy.flat_parameters(),
-            mech_b.exterior.policy.flat_parameters(),
-        )
-
-    def test_sigkilled_training_resumes_to_golden(self, tmp_path):
-        report = run_kill_resume_training(
-            seed=0,
-            scratch_dir=str(tmp_path),
-            kill_after_checkpoints=1,
-        )
-        assert report["ok"], report
-        assert report["resumed_fingerprint"] == report["golden_fingerprint"]
-        assert (
-            report["resumed_checkpoint_digest"]
-            == report["golden_checkpoint_digest"]
-        )
         assert report["survivors"] == 0

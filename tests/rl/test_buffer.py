@@ -114,3 +114,46 @@ class TestValidation:
         obs += 99.0
         batch = buffer.compute()
         np.testing.assert_allclose(batch.obs[0], 0.0)
+
+
+class TestPush:
+    def test_row_shape_mismatch_rejected(self, rng):
+        buffer = RolloutBuffer()
+        fill_buffer(buffer, [1.0, 2.0], [0.0, 0.0], [False, True], rng)
+        with pytest.raises(ValueError):
+            buffer.push(np.zeros(4), np.zeros(2), 0.0, 0.0, 0.0, False)
+        with pytest.raises(ValueError):
+            buffer.push(np.zeros(3), np.zeros(1), 0.0, 0.0, 0.0, False)
+        assert len(buffer) == 2
+
+    def test_empty_buffer_columns_are_canonical(self, rng):
+        cleared = RolloutBuffer()
+        fill_buffer(cleared, [1.0], [0.0], [True], rng)
+        cleared.clear()
+        for buffer in (RolloutBuffer(), cleared):
+            columns = buffer.columns()
+            assert columns["obs"].shape == (0, 0)
+            assert columns["actions"].shape == (0, 0)
+            for key in ("rewards", "values", "log_probs", "dones"):
+                assert columns[key].shape == (0,)
+            assert columns["dones"].dtype == np.uint8
+
+    def test_growth_past_first_allocation_keeps_rows(self, rng):
+        n = 150  # past the 64-row first allocation, through two doublings
+        stream = {
+            "obs": rng.normal(size=(n, 3)),
+            "actions": rng.normal(size=(n, 2)),
+            "rewards": rng.normal(size=n),
+            "values": rng.normal(size=n),
+            "log_probs": rng.normal(size=n),
+            "dones": (np.arange(n) % 40 == 39).astype(np.uint8),
+        }
+        buffer = RolloutBuffer()
+        for i in range(n):
+            buffer.push(*(stream[key][i] for key in stream))
+        assert len(buffer) == n
+        columns = buffer.columns()
+        assert list(columns) == list(stream)
+        for key, want in stream.items():
+            assert columns[key].dtype == want.dtype
+            np.testing.assert_array_equal(columns[key], want)

@@ -1,11 +1,25 @@
-"""Agent checkpointing."""
+"""Agent checkpointing: the ``.npz`` policy export."""
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.rl import PPOAgent, PPOConfig, load_many, load_ppo, save_many, save_ppo
+from repro.rl.checkpoint import load_ppo_state, ppo_state_dict
+
+#: The keys one agent's archive holds (``obs_*`` when it normalizes).
+KEPT_KEYS = {
+    "policy",
+    "value",
+    "episodes_seen",
+    "actor_lr",
+    "critic_lr",
+    "obs_mean",
+    "obs_var",
+    "obs_count",
+}
 
 
 def trained_agent(seed=0, obs_dim=6, act_dim=2):
@@ -54,6 +68,24 @@ class TestSingleAgent:
         assert path.suffix == ".npz"
         assert path.exists()
 
+    @pytest.mark.parametrize("writer", ["save_ppo", "save_many"])
+    def test_dotted_name_returns_the_path_written(self, tmp_path, writer):
+        # np.savez appends ".npz" to "run.v2" as a whole, so the returned
+        # path must be run.v2.npz, not run.npz.
+        agent = trained_agent(0)
+        clone = PPOAgent(6, 2, config=agent.config, rng=99)
+        if writer == "save_ppo":
+            path = save_ppo(agent, tmp_path / "run.v2")
+            load_ppo(clone, path)
+        else:
+            path = save_many({"a": agent}, tmp_path / "pair.final")
+            load_many({"a": clone}, path)
+        assert path.name.endswith(".npz") and path.exists()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        np.testing.assert_array_equal(
+            clone.policy.flat_parameters(), agent.policy.flat_parameters()
+        )
+
     def test_architecture_mismatch(self, tmp_path):
         agent = trained_agent(0)
         path = save_ppo(agent, tmp_path / "agent.npz")
@@ -83,135 +115,6 @@ class TestManyAgents:
             load_many({"zzz": PPOAgent(6, 2, rng=0)}, path)
 
 
-class TestBitwiseResume:
-    """A mid-training round trip must resume the run bit for bit.
-
-    Full fidelity requires more than parameters: Adam moments and step
-    counts, LR-scheduler ticks, and the exact positions of the policy
-    sampling and minibatch shuffle streams.  These tests drive the saved
-    agent and its restored clone through identical post-checkpoint work
-    and demand exact equality — any drift means some state escaped the
-    checkpoint.
-    """
-
-    def _roundtrip_clone(self, agent, tmp_path):
-        path = save_ppo(agent, tmp_path / "mid.npz")
-        clone = PPOAgent(6, 2, config=agent.config, rng=4242)
-        load_ppo(clone, path)
-        return clone
-
-    def test_stochastic_act_stream_bitwise_identical(self, tmp_path):
-        agent = trained_agent(2)
-        clone = self._roundtrip_clone(agent, tmp_path)
-        obs_stream = np.random.default_rng(7).normal(size=(12, 6))
-        for obs in obs_stream:
-            a1, lp1, v1 = agent.act(obs)
-            a2, lp2, v2 = clone.act(obs)
-            np.testing.assert_array_equal(a1, a2)
-            assert lp1 == lp2
-            assert v1 == v2
-
-    def test_update_bitwise_identical(self, tmp_path):
-        agent = trained_agent(3)
-        clone = self._roundtrip_clone(agent, tmp_path)
-        # Feed both agents the same post-checkpoint episode.  Actions are
-        # sampled (stochastic) — identical only if the policy RNG stream
-        # was restored at its exact position.
-        reward_rng = np.random.default_rng(17)
-        obs_stream = np.random.default_rng(23).normal(size=(10, 6))
-        rewards = reward_rng.normal(size=10)
-        for which in (agent, clone):
-            for i, obs in enumerate(obs_stream):
-                a, lp, v = which.act(obs)
-                which.store(obs, a, float(rewards[i]), v, lp, done=(i == 9))
-        stats_a = agent.update()
-        stats_b = clone.update()
-        np.testing.assert_array_equal(
-            agent.policy.flat_parameters(), clone.policy.flat_parameters()
-        )
-        np.testing.assert_array_equal(
-            agent.value_net.flat_parameters(), clone.value_net.flat_parameters()
-        )
-        assert stats_a == stats_b
-        assert agent.actor_opt.lr == clone.actor_opt.lr
-        assert agent.actor_opt.step_count == clone.actor_opt.step_count
-        assert agent._actor_sched.ticks == clone._actor_sched.ticks
-
-    def test_optimizer_moments_round_trip_exactly(self, tmp_path):
-        agent = trained_agent(4)
-        clone = self._roundtrip_clone(agent, tmp_path)
-        for name in ("actor_opt", "critic_opt"):
-            orig = getattr(agent, name).flat_state()
-            restored = getattr(clone, name).flat_state()
-            np.testing.assert_array_equal(orig["m"], restored["m"])
-            np.testing.assert_array_equal(orig["v"], restored["v"])
-            assert orig["step_count"][0] == restored["step_count"][0]
-
-    def test_legacy_archive_without_new_keys_still_loads(self, tmp_path):
-        from repro.rl.checkpoint import load_ppo_state, ppo_state_dict
-
-        agent = trained_agent(5)
-        state = ppo_state_dict(agent)
-        legacy = {
-            k: v
-            for k, v in state.items()
-            if "opt_" not in k and "sched" not in k and "rng" not in k
-        }
-        clone = PPOAgent(6, 2, config=agent.config, rng=31)
-        load_ppo_state(clone, legacy)
-        np.testing.assert_array_equal(
-            clone.policy.flat_parameters(), agent.policy.flat_parameters()
-        )
-        # Ancillary state stays at its fresh defaults.
-        assert clone.actor_opt.step_count == 0
-
-
-class TestChironBitwiseResume:
-    """Hierarchical save/load: both sub-agents resume bit for bit."""
-
-    def test_exterior_and_inner_resume_bitwise(self, tmp_path, surrogate_env):
-        from repro.core.chiron import ChironAgent, ChironConfig
-        from repro.core.mechanism import Observation
-        from repro.experiments.runner import run_episode, train_mechanism
-
-        env = surrogate_env.env
-        agent = ChironAgent(env, ChironConfig(), rng=np.random.default_rng(5))
-        train_mechanism(env, agent, episodes=2)
-        path = agent.save(tmp_path / "chiron_mid.npz")
-
-        fresh = ChironAgent(env, ChironConfig(), rng=np.random.default_rng(99))
-        fresh.load(path)
-
-        # Identical twin environments: copies of one environment, run on
-        # the same episode seed -> same streams.
-        env_a = pickle.loads(pickle.dumps(env))
-        env_b = pickle.loads(pickle.dumps(env))
-        result_a, diag_a = run_episode(env_a, agent, seed=123)
-        result_b, diag_b = run_episode(env_b, fresh, seed=123)
-
-        assert result_a.reward_exterior == result_b.reward_exterior
-        assert result_a.reward_inner == result_b.reward_inner
-        assert result_a.final_accuracy == result_b.final_accuracy
-        assert result_a.rounds == result_b.rounds
-        assert diag_a == diag_b
-        for name in ("exterior", "inner"):
-            np.testing.assert_array_equal(
-                getattr(agent, name).policy.flat_parameters(),
-                getattr(fresh, name).policy.flat_parameters(),
-            )
-            np.testing.assert_array_equal(
-                getattr(agent, name).value_net.flat_parameters(),
-                getattr(fresh, name).value_net.flat_parameters(),
-            )
-
-        # And the *next* stochastic action agrees too (RNG positions).
-        state, _ = env_a.reset(seed=7)
-        obs = Observation(state, env_a.ledger.remaining, env_a.round_index)
-        np.testing.assert_array_equal(
-            agent.propose_prices(obs), fresh.propose_prices(obs)
-        )
-
-
 class TestChironCheckpoint:
     def test_save_load_restores_policy(self, tmp_path, surrogate_env):
         from repro.experiments.mechanisms import make_mechanism
@@ -231,73 +134,115 @@ class TestChironCheckpoint:
             assert a.rounds == b.rounds
 
 
-class TestBufferRoundTrip:
-    """Pending rollout transitions survive a checkpoint (PR 6).
+def _parent_format(agent):
+    """An archive dict as the earlier full-resume format wrote it.
 
-    With ``min_update_batch`` larger than one episode, transitions carry
-    across episode boundaries — dropping them on resume would silently
-    change the next update.
+    That format added Adam moments, scheduler ticks, the policy and
+    shuffle streams' states (JSON bytes) and the pending buffer rows to
+    the kept keys.
     """
+    state = ppo_state_dict(agent)
+    for name, opt in (("actor", agent.actor_opt), ("critic", agent.critic_opt)):
+        for key, value in opt.flat_state().items():
+            state[f"{name}_opt_{key}"] = value
+        state[f"{name}_sched_ticks"] = np.array([3], dtype=np.int64)
+    for name, gen in (
+        ("policy_rng", agent.policy._sample_rng),
+        ("shuffle_rng", agent._shuffle_rng),
+    ):
+        blob = json.dumps(gen.bit_generator.state, sort_keys=True).encode()
+        state[name] = np.frombuffer(blob, dtype=np.uint8).copy()
+    for key, value in agent.buffer.columns().items():
+        state[f"buffer_{key}"] = value
+    return state
 
-    def test_flat_state_round_trips_pending_transitions(self):
-        agent = trained_agent(2)
-        rng = np.random.default_rng(7)
-        for i in range(5):  # leave un-consumed transitions in the buffer
-            obs = rng.normal(size=6)
-            a, lp, v = agent.act(obs)
-            agent.store(obs, a, rng.normal(), v, lp, done=(i == 4))
-        state = agent.buffer.columns()
 
-        clone = trained_agent(2)
-        clone.buffer.clear()
-        clone.buffer.extend(state)
-        assert len(clone.buffer) == len(agent.buffer)
-        mine, theirs = agent.buffer.columns(), clone.buffer.columns()
-        for key in mine:
-            np.testing.assert_array_equal(mine[key], theirs[key])
+class TestArchiveFormat:
+    def test_state_dict_writes_exactly_the_kept_keys(self):
+        agent = trained_agent(0)
+        state = ppo_state_dict(agent)
+        assert set(state) == KEPT_KEYS
+        assert set(ppo_state_dict(agent, prefix="x/")) == {
+            f"x/{key}" for key in KEPT_KEYS
+        }
+        # Those keys alone restore the policy into a fresh agent.
+        clone = PPOAgent(6, 2, config=agent.config, rng=31)
+        load_ppo_state(clone, state)
+        np.testing.assert_array_equal(
+            clone.policy.flat_parameters(), agent.policy.flat_parameters()
+        )
 
-    def test_empty_buffer_round_trips(self):
-        agent = trained_agent(3)
-        assert len(agent.buffer) == 0  # update() consumed it
-        state = agent.buffer.columns()
-        clone = trained_agent(3)
-        clone.buffer.extend(state)
-        assert len(clone.buffer) == 0
-
-    def test_save_ppo_preserves_buffer_through_archive(self, tmp_path):
-        agent = trained_agent(4)
+    def test_parent_format_archive_loads(self, tmp_path):
+        agent = trained_agent(5)
         rng = np.random.default_rng(11)
-        for i in range(3):
+        for _ in range(3):  # pending rows, as a mid-training archive held
             obs = rng.normal(size=6)
             a, lp, v = agent.act(obs)
             agent.store(obs, a, rng.normal(), v, lp, done=False)
-        path = save_ppo(agent, tmp_path / "agent.npz")
-        clone = PPOAgent(6, 2, config=agent.config, rng=99)
-        load_ppo(clone, path)
-        assert len(clone.buffer) == 3
-        batch_a = agent.buffer.compute(last_value=0.5)
-        batch_b = clone.buffer.compute(last_value=0.5)
-        np.testing.assert_array_equal(batch_a.obs, batch_b.obs)
-        np.testing.assert_array_equal(batch_a.advantages, batch_b.advantages)
+        path = tmp_path / "parent.npz"
+        np.savez(path, **_parent_format(agent))
 
-    def test_grown_buffer_round_trips_through_archive(self, tmp_path):
-        # More rows than the buffer's first allocation, so the archive
-        # carries storage that was regrown mid-collection.
-        agent = trained_agent(6)
-        rng = np.random.default_rng(13)
-        for i in range(150):
-            obs = rng.normal(size=6)
-            a, lp, v = agent.act(obs)
-            agent.store(obs, a, rng.normal(), v, lp, done=(i % 40 == 39))
-        path = save_ppo(agent, tmp_path / "agent.npz")
-        clone = PPOAgent(6, 2, config=agent.config, rng=99)
+        clone = PPOAgent(6, 2, config=agent.config, rng=31)
         load_ppo(clone, path)
-        assert len(clone.buffer) == 150
-        mine, theirs = agent.buffer.columns(), clone.buffer.columns()
-        for key in mine:
-            assert mine[key].dtype == theirs[key].dtype
-            np.testing.assert_array_equal(mine[key], theirs[key])
-        batch_a = agent.buffer.compute(last_value=0.5)
-        batch_b = clone.buffer.compute(last_value=0.5)
-        np.testing.assert_array_equal(batch_a.advantages, batch_b.advantages)
-        np.testing.assert_array_equal(batch_a.returns, batch_b.returns)
+        np.testing.assert_array_equal(
+            clone.policy.flat_parameters(), agent.policy.flat_parameters()
+        )
+        np.testing.assert_array_equal(
+            clone.value_net.flat_parameters(), agent.value_net.flat_parameters()
+        )
+        np.testing.assert_array_equal(clone.obs_stat.mean, agent.obs_stat.mean)
+        assert clone.episodes_seen == agent.episodes_seen
+        # The resume keys are in the archive but change nothing.
+        with np.load(path) as archive:
+            assert {"actor_opt_m", "policy_rng", "buffer_rewards"} <= set(
+                archive.files
+            )
+        assert clone.actor_opt.step_count == 0
+        assert len(clone.buffer) == 0
+
+    def test_missing_normalizer_rejected(self):
+        agent = trained_agent(0)
+        state = {
+            k: v for k, v in ppo_state_dict(agent).items()
+            if not k.startswith("obs_")
+        }
+        clone = PPOAgent(6, 2, config=agent.config, rng=1)
+        with pytest.raises(KeyError, match="observation statistics"):
+            load_ppo_state(clone, state)
+
+    def test_loaded_chiron_prices_identically_in_eval_mode(
+        self, tmp_path, surrogate_env
+    ):
+        from repro.experiments.mechanisms import make_mechanism
+        from repro.experiments.runner import train_mechanism
+
+        env = surrogate_env.env
+        agent = make_mechanism("chiron", env, rng=1, tier="quick")
+        train_mechanism(env, agent, episodes=3)
+        fresh = make_mechanism("chiron", env, rng=2, tier="quick")
+        fresh.load(agent.save(tmp_path / "chiron.npz"))
+
+        # Twin copies of one environment, each on the same episode seed.
+        saved = _episode_prices(agent.eval_mode(), pickle.loads(pickle.dumps(env)))
+        loaded = _episode_prices(fresh.eval_mode(), pickle.loads(pickle.dumps(env)))
+        assert len(saved) == len(loaded) > 0
+        for a, b in zip(saved, loaded):
+            np.testing.assert_array_equal(a, b)
+
+
+def _episode_prices(mechanism, env, seed=123):
+    """Every price vector ``mechanism`` proposes over one seeded episode."""
+    from repro.core.mechanism import Observation
+
+    state, _ = env.reset(seed=seed)
+    obs = Observation(state, env.ledger.remaining, env.round_index)
+    mechanism.begin_episode(obs)
+    proposed = []
+    while not env.done:
+        prices = mechanism.propose_prices(obs)
+        _, _, _, _, info = env.step(prices)
+        result = info["step_result"]
+        mechanism.observe(prices, result)
+        proposed.append(prices)
+        obs = Observation(result.state, result.remaining_budget, result.round_index)
+    return proposed
