@@ -13,9 +13,11 @@ image kernels visit one strided slice per kernel offset ``(di, dj)``:
 ``im2col``'s backward adds each offset's gradient block back into that
 offset's slice of the padded input.  ``max_pool2d`` keeps a
 running first maximum over the offsets' slices, updating the best value
-and its offset by bit select under int64 words of all ones, so no
-data-dependent mask picks a branch; its backward adds, per offset, the
-gradient where that offset won and ``+0.0`` elsewhere.  Every input
+by bit select under int64 words of all ones, so no data-dependent mask
+picks a branch.  When a graph is recorded it tracks each window's
+winning offset the same way, and its backward adds, per offset, the
+gradient where that offset won and ``+0.0`` elsewhere; without one it
+keeps no offsets, as ``Tensor.relu`` then builds no mask.  Every input
 element sums its gradient terms from ``+0.0`` in ``(di, dj)`` order.
 """
 
@@ -282,15 +284,19 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
 
     # Running first maximum: a later offset takes over where it is greater,
     # or NaN while the best so far is not.  The copy keeps a 1x1 stride-1
-    # pool from writing into x.
+    # pool from writing into x.  Only a backward reads the winning offsets.
     out_data = x.data[windows[0]].copy()
     best_bits = out_data.view(np.int64)
-    arg = np.zeros(out_data.shape, dtype=np.int64)
+    record = is_grad_enabled() and x.requires_grad
+    arg = np.zeros(out_data.shape, dtype=np.int64) if record else None
     for idx in range(1, len(windows)):
         cand = x.data[windows[idx]]
         words = _words(~(cand <= out_data) & (out_data == out_data))
         best_bits ^= (best_bits ^ cand.view(np.int64)) & words
-        arg += words & (idx - arg)
+        if record:
+            arg += words & (idx - arg)
+    if not record:
+        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:

@@ -371,11 +371,13 @@ class Tensor:
         return Tensor._make(out_data, (self,), "sigmoid", backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
         # fmax maps x <= 0 and NaN to a zero, which is -0.0 for a -0.0
         # input on numpy's scalar path; adding +0.0 makes every zero +0.0.
         out_data = np.fmax(self.data, 0.0)
         out_data += 0.0
+        if not (is_grad_enabled() and self.requires_grad):
+            return Tensor(out_data)  # no backward will read the mask
+        mask = self.data > 0
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

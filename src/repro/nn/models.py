@@ -15,10 +15,39 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.autograd.tensor import Tensor
+import numpy as np
+
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.nn.layers import Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.nn.module import Module, require_tensor
 from repro.utils.rng import RNGLike, spawn_generators
+
+# Bytes of conv1 output a CNN computes at a time when it records no graph,
+# like ``conv2d``'s ``_COLUMN_BYTES``.  Every feature op works per image
+# (``conv2d`` makes one gemm per image, dropout draws in image order), so
+# the chunks' features are the whole batch's bytes.  The classifier takes
+# the whole batch: a gemm's row count changes its bits.
+_FEATURE_BYTES = 2 * 1024 * 1024
+
+
+def _features_by_chunk(model: Module, x: Tensor, image_bytes: int) -> Tensor:
+    """``model._features(x)``, a chunk of images at a time when no graph is
+    recorded.
+
+    ``image_bytes`` is one image's conv1 output, the stack's largest
+    activation.
+    """
+    if is_grad_enabled() and any(t.requires_grad for t in (x, *model.parameters())):
+        return model._features(x)
+    chunk = max(1, _FEATURE_BYTES // image_bytes)
+    return Tensor(
+        np.concatenate(
+            [
+                model._features(Tensor(x.data[start : start + chunk])).data
+                for start in range(0, x.shape[0], chunk)
+            ]
+        )
+    )
 
 
 class McMahanCNN(Module):
@@ -40,11 +69,14 @@ class McMahanCNN(Module):
         x = require_tensor(x)
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != (28, 28):
             raise ValueError(f"McMahanCNN expects (n, 1, 28, 28), got {x.shape}")
-        x = self.pool(self.conv1(x).relu())
-        x = self.pool(self.dropout(self.conv2(x)).relu())
-        x = x.flatten(start_dim=1)
+        x = _features_by_chunk(self, x, image_bytes=8 * 10 * 24 * 24)
         x = self.fc1(x).relu()
         return self.fc2(x)
+
+    def _features(self, x: Tensor) -> Tensor:
+        x = self.pool(self.conv1(x).relu())
+        x = self.pool(self.dropout(self.conv2(x)).relu())
+        return x.flatten(start_dim=1)
 
 
 class LeNet5(Module):
@@ -66,12 +98,15 @@ class LeNet5(Module):
         x = require_tensor(x)
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2:] != (32, 32):
             raise ValueError(f"LeNet5 expects (n, 3, 32, 32), got {x.shape}")
-        x = self.pool(self.conv1(x).relu())
-        x = self.pool(self.conv2(x).relu())
-        x = x.flatten(start_dim=1)
+        x = _features_by_chunk(self, x, image_bytes=8 * 6 * 28 * 28)
         x = self.fc1(x).relu()
         x = self.fc2(x).relu()
         return self.fc3(x)
+
+    def _features(self, x: Tensor) -> Tensor:
+        x = self.pool(self.conv1(x).relu())
+        x = self.pool(self.conv2(x).relu())
+        return x.flatten(start_dim=1)
 
 
 class MLP(Module):

@@ -135,15 +135,13 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def chaos_items(
-    config: ChaosConfig, scratch_dir: Optional[str] = None
-) -> List[dict]:
+def chaos_items(config: ChaosConfig, scratch_dir: str) -> List[dict]:
     """The seeded chaos mixture, shuffled deterministically.
 
     ``flaky`` items need a writable path to count their attempts across
     worker processes; ``scratch_dir`` hosts those marker files.
     """
-    scratch = Path(scratch_dir or tempfile.mkdtemp(prefix="chaos-"))
+    scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
     items: List[dict] = []
     for i in range(config.n_echo):
@@ -175,15 +173,22 @@ def run_chaos(
     journal_path: Optional[str] = None,
     scratch_dir: Optional[str] = None,
 ) -> ChaosReport:
-    """Inject the chaos mixture through a journaled pool and audit it."""
+    """Inject the chaos mixture through a journaled pool and audit it.
+
+    Without ``scratch_dir`` the flaky items' marker files (and, without
+    ``journal_path``, the journal) live in a temporary directory that is
+    removed when the run ends.
+    """
     if config.workers < 2:
         raise ValueError(
             "chaos needs workers >= 2: 'crash' items call os._exit and "
             "would kill the parent on the in-process path"
         )
-    scratch = scratch_dir or tempfile.mkdtemp(prefix="chaos-")
-    items = chaos_items(config, scratch_dir=scratch)
-    journal_path = journal_path or str(Path(scratch) / "chaos.journal.jsonl")
+    if scratch_dir is None:
+        with tempfile.TemporaryDirectory(prefix="chaos-") as scratch:
+            return run_chaos(config, journal_path, scratch)
+    items = chaos_items(config, scratch_dir=scratch_dir)
+    journal_path = journal_path or str(Path(scratch_dir) / "chaos.journal.jsonl")
     # Every crash/hang/unpicklable attempt costs one worker (an
     # unpicklable result dies in the worker's send); budget them all plus
     # slack so exhaustion is never the reason an item quarantines here
@@ -355,9 +360,20 @@ def run_kill_resume(
        process of the killed group left alive (``survivors == 0``).
 
     Returns a report dict with both fingerprints, ``survivors`` and ``ok``.
+    Without ``journal_path`` the journal lives in a temporary directory
+    that is removed when the drill ends, and the report's ``journal`` is
+    ``None``.
     """
-    scratch = Path(tempfile.mkdtemp(prefix="kill-resume-"))
-    journal_path = journal_path or str(scratch / "sweep.journal.jsonl")
+    if journal_path is None:
+        with tempfile.TemporaryDirectory(prefix="kill-resume-") as scratch:
+            report = run_kill_resume(
+                workers,
+                seed,
+                str(Path(scratch) / "sweep.journal.jsonl"),
+                kill_after_items,
+                timeout,
+            )
+        return {**report, "journal": None}
     items = kill_resume_grid(seed)
 
     golden: SweepResult = run_sweep(items, workers=1).raise_on_quarantine()

@@ -23,9 +23,14 @@ boundaries.
 
 ``Tensor.relu`` is gated the same way against ``np.where(x > 0, x, 0.0)``
 and ``grad * (x > 0)``.
+
+Without a graph, ``Tensor.relu`` builds no mask and ``max_pool2d`` keeps
+no arg-max offsets; both are gated against the graph path's output by
+bytes, NaN payloads included.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +281,43 @@ def test_max_pool2d_matches_reference(case):
     )
 
 
+def _assert_no_graph(graph, *inferred):
+    """Each ``inferred`` output has ``graph``'s bytes and carries no backward."""
+    assert graph.requires_grad
+    for out in inferred:
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        _assert_same_bytes(out.data, graph.data)
+
+
+@pytest.mark.parametrize("case", range(len(POOL_CASES)), ids=_ids(POOL_CASES))
+def test_max_pool2d_without_graph_matches_graph_path(case):
+    kernel, stride, kind = POOL_CASES[case]
+    x = _draw(kind, (2, 3, 9, 8), np.random.default_rng(case))
+    with no_grad():
+        inferred = F.max_pool2d(Tensor(x, requires_grad=True), kernel, stride)
+    constant = F.max_pool2d(Tensor(x), kernel, stride)
+    graph = F.max_pool2d(Tensor(x, requires_grad=True), kernel, stride)
+    _assert_no_graph(graph, inferred, constant)
+
+
+def test_max_pool2d_without_graph_holds_no_arg_max():
+    # McMahanCNN's conv1 output for one evaluation batch of 256 images.
+    x = Tensor(np.random.default_rng(0).normal(size=(256, 10, 24, 24)))
+    out_bytes = 256 * 10 * 12 * 12 * 8
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = F.max_pool2d(x, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes == out_bytes
+    # The output, one offset's int64 select words and one update
+    # temporary; an int64 arg-max and its update would add two more.
+    assert peak < 3.5 * out_bytes
+
+
 def _relu_data(kind, size, rng):
     if kind == "normal":
         return rng.normal(size=size)
@@ -311,3 +353,12 @@ def test_relu_matches_masked_select(x):
         out.backward(grad)
         _assert_same_bytes(out.data, np.where(x > 0, x, 0.0))
         _assert_same_bytes(t.grad, grad * (x > 0))
+
+
+@pytest.mark.parametrize("x", RELU_CASES, ids=RELU_IDS)
+def test_relu_without_graph_matches_graph_path(x):
+    with no_grad():
+        inferred = Tensor(x, requires_grad=True).relu()
+    constant = Tensor(x).relu()
+    graph = Tensor(x, requires_grad=True).relu()
+    _assert_no_graph(graph, inferred, constant)

@@ -1,5 +1,8 @@
 """Federated pipeline: node, server, session, metrics."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,36 @@ class TestEvaluate:
             evaluate(model, ds, batch_size=2)
         assert model.training
         assert model.dropout.training
+
+    @staticmethod
+    def _mnist_shaped(n):
+        from repro.datasets import ArrayDataset
+
+        rng = np.random.default_rng(n)
+        return ArrayDataset(rng.random((n, 1, 28, 28)), rng.integers(0, 10, size=n))
+
+    def test_peak_memory_is_below_one_batch_conv1_activation(self):
+        model, dataset = McMahanCNN(rng=0), self._mnist_shaped(256)
+        tracemalloc.start()
+        try:
+            evaluate(model, dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # conv1's float64 output for the whole 256-image batch.
+        assert peak < 256 * 10 * 24 * 24 * 8
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_accuracy_and_loss_match_graph_path_logits(self, n, monkeypatch):
+        from repro.fl import metrics
+
+        model, dataset = McMahanCNN(rng=1), self._mnist_shaped(n)
+        result = evaluate(model, dataset)
+        # Recording a graph makes every layer run on the whole batch.
+        monkeypatch.setattr(metrics, "no_grad", contextlib.nullcontext)
+        graph = evaluate(model, dataset)
+        assert result.accuracy.hex() == graph.accuracy.hex()
+        assert result.loss.hex() == graph.loss.hex()
 
 
 class TestEdgeNode:

@@ -1,5 +1,7 @@
 """Integration: the full stack wired together."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,36 @@ class TestRealModeEndToEnd:
         while not env.done:
             result = step_result(env, prices)
         assert result.accuracy > initial + 0.3
+
+    def test_cifar10_lenet5_round(self, monkeypatch):
+        """One real LeNet-5 round; its evaluation crosses a chunk boundary."""
+        from repro.fl import metrics
+        from repro.nn import LeNet5, models
+
+        build = build_environment(
+            task_name="cifar10",
+            n_nodes=2,
+            budget=50.0,
+            accuracy_mode="real",
+            seed=0,
+            samples_per_node=8,
+            test_size=60,
+            max_rounds=1,
+        )
+        env = build.env
+        env.reset()
+        result = step_result(env, np.sqrt(env.price_floors * env.price_caps))
+        assert env.done and result.participants == [0, 1]
+        server = build.learning.session.server
+        assert isinstance(server.model, LeNet5)
+        assert len(server.test_set) > models._FEATURE_BYTES // (8 * 6 * 28 * 28)
+        record = build.learning.session.history[-1]
+        assert result.accuracy == record.accuracy
+        # Recording a graph makes every layer run on the whole batch.
+        monkeypatch.setattr(metrics, "no_grad", contextlib.nullcontext)
+        graph = server.evaluate()
+        assert record.accuracy.hex() == graph.accuracy.hex()
+        assert record.loss.hex() == graph.loss.hex()
 
 
 class TestSurrogateFidelity:

@@ -1,9 +1,16 @@
-"""Model zoo: the paper's exact parameter counts and shapes."""
+"""Model zoo: the paper's exact parameter counts and shapes.
+
+Without a graph, the CNNs run their feature stack a chunk of images at a
+time.  Their logits are gated against the graph path byte for byte, NaN
+payloads included, at batch sizes around the chunk boundaries.
+"""
 
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad
 from repro.nn import MLP, CrossEntropyLoss, LeNet5, McMahanCNN, SGD, build_model, count_parameters
+from repro.nn import models
 
 
 class TestMcMahanCNN:
@@ -53,6 +60,85 @@ class TestLeNet5:
     def test_rejects_wrong_geometry(self, rng):
         with pytest.raises(ValueError):
             LeNet5(rng=0)(rng.normal(size=(2, 1, 28, 28)))
+
+
+# name: (class, input (c, h, w), bytes of one image's conv1 output)
+CNNS = {
+    "mcmahan_cnn": (McMahanCNN, (1, 28, 28), 8 * 10 * 24 * 24),
+    "lenet5": (LeNet5, (3, 32, 32), 8 * 6 * 28 * 28),
+}
+IMAGE_DATA = ["normal", "signed_zero", "nonfinite"]
+
+
+def _chunk(name):
+    """Images a chunk of the inference path runs at once."""
+    return models._FEATURE_BYTES // CNNS[name][2]
+
+
+def _batch_sizes(chunk):
+    """One image, either side of one and two chunk boundaries, and large batches."""
+    return sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 256, 400})
+
+
+def _images(kind, shape, rng):
+    """Normal images, ``±0.0``, or normal images with NaN, ``±inf`` and ``-0.0`` mixed in."""
+    if kind == "signed_zero":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    values = rng.normal(size=shape)
+    if kind == "nonfinite":
+        u = rng.random(shape)
+        values[u < 0.002] = np.nan
+        values[(0.002 <= u) & (u < 0.004)] = np.inf
+        values[(0.004 <= u) & (u < 0.006)] = -np.inf
+        values[(0.006 <= u) & (u < 0.2)] = -0.0
+    return values
+
+
+INFERENCE_CASES = [
+    (name, n, kind)
+    for name in CNNS
+    for n in _batch_sizes(_chunk(name))
+    for kind in IMAGE_DATA
+]
+
+
+class TestChunkedInference:
+    def test_chunks_are_smaller_than_the_evaluation_batch(self):
+        # 256 is repro.fl.metrics.evaluate's batch; it must cross a chunk
+        # boundary, or the cases below would not test one.
+        chunks = [_chunk(name) for name in CNNS]
+        assert chunks == [45, 55]
+        assert all(2 * chunk + 1 <= 256 for chunk in chunks)
+
+    @pytest.mark.parametrize(
+        "case",
+        range(len(INFERENCE_CASES)),
+        ids=["-".join(map(str, case)) for case in INFERENCE_CASES],
+    )
+    def test_logits_match_graph_path(self, case):
+        name, n, kind = INFERENCE_CASES[case]
+        cls, shape, _ = CNNS[name]
+        model = cls(rng=case).eval()
+        x = _images(kind, (n,) + shape, np.random.default_rng(7000 + case))
+        # inf - inf and inf * 0 make NaNs; the graph path runs last.
+        with np.errstate(invalid="ignore"):
+            with no_grad():
+                inferred = model(x)
+            graph = model(x)
+        assert graph.requires_grad and not inferred.requires_grad
+        assert inferred.data.tobytes() == graph.data.tobytes()
+
+    @pytest.mark.parametrize("n", _batch_sizes(_chunk("mcmahan_cnn"))[3:])
+    def test_train_mode_dropout_draws_match_one_whole_batch_draw(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 1, 28, 28))
+        chunked, whole = McMahanCNN(rng=3), McMahanCNN(rng=3)
+        with no_grad():
+            inferred = chunked(x)
+        graph = whole(x)
+        assert inferred.data.tobytes() == graph.data.tobytes()
+        state = chunked.dropout._rng.bit_generator.state
+        assert state == whole.dropout._rng.bit_generator.state
+        assert state != McMahanCNN(rng=3).dropout._rng.bit_generator.state
 
 
 class TestMLP:

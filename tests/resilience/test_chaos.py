@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.resilience.chaos import (
@@ -63,6 +65,16 @@ class TestRunChaos:
         assert not report.unaccounted
         assert report.replay_matches
 
+    def test_temporary_scratch_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = ChaosConfig(
+            n_echo=1, n_flaky=1, n_fail=0, n_crash=0, n_hang=0, n_unpicklable=0
+        )
+        report = run_chaos(config)
+        assert report.ok, report.render()
+        assert report.delivered == 2
+        assert not list(tmp_path.glob("chaos-*"))
+
     def test_in_process_execution_refused(self):
         with pytest.raises(ValueError, match="workers >= 2"):
             run_chaos(ChaosConfig(workers=1))
@@ -73,7 +85,10 @@ class TestKillResume:
         assert kill_resume_grid(0) == kill_resume_grid(0)
         assert kill_resume_grid(0) != kill_resume_grid(1)
 
-    def test_sigkilled_sweep_resumes_to_golden_fingerprint(self, tmp_path):
+    def test_sigkilled_sweep_resumes_to_golden_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         report = run_kill_resume(
             workers=2,
             seed=0,
@@ -87,3 +102,5 @@ class TestKillResume:
         # The SIGKILL takes the driver's spawn workers and resource
         # tracker with it: nothing is left orphaned.
         assert report["survivors"] == 0
+        # Given a journal path, the drill makes no directory of its own.
+        assert not list(tmp_path.glob("kill-resume-*"))
