@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test faults bench parallel population resilience chaos-smoke resume-test obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test
+.PHONY: install test faults bench parallel population resilience chaos-smoke obs-demo golden-verify golden-update diff-matrix fuzz repro repro-paper report clean zoo tournament tournament-test
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -31,8 +31,8 @@ golden-update:
 	$(PYTHON) -m repro.testing update
 
 # Differential N-way identity matrix: every scenario's rerun, obs_on,
-# audited, population_object, parallel_w4 and journal_replay variants
-# must be bit-identical to its sequential capture.
+# audited, population_object and parallel_w4 variants must be
+# bit-identical to its sequential capture.
 diff-matrix:
 	$(PYTHON) -m repro.testing diff
 
@@ -49,20 +49,14 @@ parallel:
 population:
 	$(PYTHON) -m pytest -m population tests/
 
-# Just the crash-safety suite (journal, resume, chaos; also part of `test`).
+# Just the crash-containment suite (pool edges, chaos; also part of `test`).
 resilience:
 	$(PYTHON) -m pytest -m resilience tests/
 
-# Deterministic fault injection through a journaled 2-worker pool:
-# crashes, hangs, poisoned payloads — exits non-zero if anything is
-# silently dropped or the journal replay diverges.
+# Deterministic fault injection through a 2-worker pool: crashes, hangs,
+# poisoned payloads — exits non-zero if anything is silently dropped.
 chaos-smoke:
 	$(PYTHON) -m repro.resilience chaos
-
-# Parent-death drill: SIGKILL a live journaled sweep mid-grid, resume
-# from the journal, require the golden fingerprint bit for bit.
-resume-test:
-	$(PYTHON) -m repro.resilience resume-test
 
 # Just the mechanism-zoo suite (Stackelberg/FMore/BARA/Ding; part of `test`).
 zoo:

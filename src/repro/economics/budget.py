@@ -37,7 +37,6 @@ class BudgetLedger:
         self._round_payments: List[float] = []
         self._pending_escrow: Optional[float] = None
         self._clawback_total = 0.0
-        self._settled_ids: set = set()
 
     @property
     def spent(self) -> float:
@@ -110,29 +109,15 @@ class BudgetLedger:
         self._pending_escrow = float(amount)
         return True
 
-    def settle(
-        self, delivered_amount: float, delivery_id: Optional[str] = None
-    ) -> float:
+    def settle(self, delivered_amount: float) -> float:
         """Reconcile the pending escrow against delivered work.
 
         The difference (payments promised to nodes that crashed, missed
         the deadline, or were quarantined) is clawed back — refunded to
         the budget so only delivered work counts against ``η``.  Returns
-        the clawback amount.
-
-        ``delivery_id`` makes the settle idempotent: a crash-recovery
-        replay (the same failed delivery re-applied from a run journal)
-        that repeats an already-settled id is a no-op returning ``0.0``
-        instead of refunding the clawback a second time.
+        the clawback amount.  Each escrow settles exactly once: a second
+        call without a new escrow raises :class:`EscrowError`.
         """
-        if delivery_id is not None and delivery_id in self._settled_ids:
-            if _obs.enabled():
-                _obs.counter("budget.replayed_settles").inc()
-            _log.debug(
-                "settle replay for delivery %s ignored (already settled)",
-                delivery_id,
-            )
-            return 0.0
         if self._pending_escrow is None:
             raise EscrowError("settle() without a pending escrow")
         check_positive("delivered_amount", delivered_amount, strict=False)
@@ -149,8 +134,6 @@ class BudgetLedger:
         self._round_payments[-1] = pending - clawback
         self._clawback_total += clawback
         self._pending_escrow = None
-        if delivery_id is not None:
-            self._settled_ids.add(delivery_id)
         if clawback > 0.0:
             _log.debug(
                 "escrow settle: clawed back %.4f of %.4f escrowed",
@@ -168,4 +151,3 @@ class BudgetLedger:
         self._round_payments.clear()
         self._pending_escrow = None
         self._clawback_total = 0.0
-        self._settled_ids.clear()

@@ -83,7 +83,6 @@ def run_budget_sweep(
     max_rounds: int = 300,
     n_seeds: int = 1,
     workers: int = 1,
-    journal=None,
 ) -> BudgetSweepResult:
     """Regenerate one of Figs. 4/5/6 as numeric series.
 
@@ -95,8 +94,7 @@ def run_budget_sweep(
     :func:`repro.parallel.run_sweep` as hermetic work items; ``workers``
     only changes wall-clock time, never a result (same fleet per seed
     across mechanisms, same per-cell RNG streams as the historical
-    sequential loop).  ``journal`` (a path) makes the sweep crash-safe
-    and resumable — see :mod:`repro.resilience`.
+    sequential loop).
     """
     check_positive("train_episodes", train_episodes)
     check_positive("eval_episodes", eval_episodes)
@@ -121,9 +119,7 @@ def run_budget_sweep(
             "max_rounds": max_rounds,
         },
     )
-    sweep = run_sweep(
-        items, workers=workers, journal=journal
-    ).raise_on_quarantine()
+    sweep = run_sweep(items, workers=workers).raise_on_quarantine()
     cells: Dict[tuple, list] = {}
     for item in sweep.items:
         key = (item["key"]["mechanism"], item["key"]["budget"])

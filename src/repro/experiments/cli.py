@@ -35,17 +35,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     exit_code = 0
     for exp_id in exp_ids:
         spec = get_experiment(exp_id)
-        journal = None
-        if args.journal:
-            journal = (
-                args.journal
-                if len(exp_ids) == 1
-                else f"{args.journal}.{exp_id}"
-            )
         print(f"== {exp_id}: {spec.description} (scale={args.scale}) ==")
         start = time.perf_counter()
         payload, rendered = spec.runner(
-            args.scale, args.seed, workers=args.workers, journal=journal
+            args.scale, args.seed, workers=args.workers
         )
         elapsed = time.perf_counter() - start
         print(rendered)
@@ -96,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/parallel.md)",
     )
     p_run.add_argument("--out", help="directory for JSON payloads")
-    p_run.add_argument(
-        "--journal",
-        help="durable run-journal path for grid experiments: settled "
-        "cells are journaled as they finish and a rerun with the same "
-        "path resumes instead of recomputing (running 'all' appends "
-        "'.<exp_id>' per experiment; see docs/resilience.md)",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_report = sub.add_parser(

@@ -32,20 +32,18 @@ RunnerOutput = Tuple[dict, str]  # (json payload, rendered text)
 class ExperimentSpec:
     """One reproducible figure/table.
 
-    Runners take ``(scale, seed, workers=1, journal=None)``.  Grid
-    experiments (the budget sweeps, Table I, the tournament) fan their
-    cells over a :mod:`repro.parallel` process pool when ``workers > 1``
-    — results are worker-count-invariant by the engine's determinism
-    contract — and honour ``journal`` (a path) for crash-safe resume via
-    :mod:`repro.resilience`.  Single-training-run experiments (the
-    convergence figures, the λ sweep) run in this process and ignore
-    both ``workers`` and ``journal``, so their output is the same for
-    any worker count.
+    Runners take ``(scale, seed, workers=1)``.  Grid experiments (the
+    budget sweeps, Table I, the tournament) fan their cells over a
+    :mod:`repro.parallel` process pool when ``workers > 1`` — results are
+    worker-count-invariant by the engine's determinism contract.
+    Single-training-run experiments (the convergence figures, the λ
+    sweep) run in this process and ignore ``workers``, so their output is
+    the same for any worker count.
     """
 
     exp_id: str
     description: str
-    #: (scale, seed, workers=1, journal=None) -> output
+    #: (scale, seed, workers=1) -> output
     runner: Callable[..., RunnerOutput]
 
 
@@ -57,8 +55,8 @@ def _scale_params(scale: str, quick: dict, paper: dict) -> dict:
     raise ValueError(f"unknown scale {scale!r}; expected 'quick' or 'paper'")
 
 
-def _fig3(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single training run: ``workers``/``journal`` ignored.
+def _fig3(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
+    # Single training run: ``workers`` ignored.
     params = _scale_params(
         scale,
         quick=dict(episodes=120, tier="quick"),
@@ -72,9 +70,7 @@ def _fig3(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput
 
 
 def _budget_sweep_fig(task: str):
-    def runner(
-        scale: str, seed: int, workers: int = 1, journal=None
-    ) -> RunnerOutput:
+    def runner(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
         params = _scale_params(
             scale,
             quick=dict(train_episodes=40, eval_episodes=5, tier="quick"),
@@ -86,7 +82,6 @@ def _budget_sweep_fig(task: str):
             n_nodes=5,
             seed=seed,
             workers=workers,
-            journal=journal,
             **params,
         )
         return result.to_payload(), render_budget_sweep(result)
@@ -94,8 +89,8 @@ def _budget_sweep_fig(task: str):
     return runner
 
 
-def _fig7a(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single training run: ``workers``/``journal`` ignored.
+def _fig7a(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
+    # Single training run: ``workers`` ignored.
     params = _scale_params(
         scale,
         quick=dict(episodes=40, tier="quick"),
@@ -108,8 +103,8 @@ def _fig7a(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutpu
     return result.to_payload(), render_convergence(result)
 
 
-def _fig7b(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single training run: ``workers``/``journal`` ignored.
+def _fig7b(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
+    # Single training run: ``workers`` ignored.
     params = _scale_params(
         scale,
         quick=dict(episodes=40, tier="quick"),
@@ -122,9 +117,7 @@ def _fig7b(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutpu
     return result.to_payload(), render_convergence(result)
 
 
-def _tournament(
-    scale: str, seed: int, workers: int = 1, journal=None
-) -> RunnerOutput:
+def _tournament(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
     import dataclasses
 
     from repro.tournament import default_grid, render_tournament, run_tournament
@@ -134,19 +127,17 @@ def _tournament(
         grid = dataclasses.replace(grid, train_episodes=1, eval_episodes=2)
     elif scale != "paper":
         raise ValueError(f"unknown scale {scale!r}; expected 'quick' or 'paper'")
-    result = run_tournament(grid, workers=workers, journal=journal)
+    result = run_tournament(grid, workers=workers)
     return result.to_payload(), render_tournament(result)
 
 
-def _table1(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
+def _table1(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
     params = _scale_params(
         scale,
         quick=dict(train_episodes=50, eval_episodes=3, tier="quick", n_seeds=3),
         paper=dict(train_episodes=500, eval_episodes=10, tier="paper"),
     )
-    result = run_table1(
-        n_nodes=100, seed=seed, workers=workers, journal=journal, **params
-    )
+    result = run_table1(n_nodes=100, seed=seed, workers=workers, **params)
     return result.to_payload(), render_table1(result)
 
 
@@ -187,13 +178,13 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
     "ext-lambda": ExperimentSpec(
         "ext-lambda",
         "[extension] λ preference-coefficient sweep (accuracy/time frontier)",
-        lambda scale, seed, workers=1, journal=None: _ext_lambda(scale, seed),
+        lambda scale, seed, workers=1: _ext_lambda(scale, seed),
     ),
 }
 
 
-def _ext_lambda(scale: str, seed: int, workers: int = 1, journal=None) -> RunnerOutput:
-    # Single λ-by-λ training chain: ``workers``/``journal`` ignored.
+def _ext_lambda(scale: str, seed: int, workers: int = 1) -> RunnerOutput:
+    # Single λ-by-λ training chain: ``workers`` ignored.
     from repro.experiments.figures import render_lambda_sweep
     from repro.experiments.preference import run_lambda_sweep
 

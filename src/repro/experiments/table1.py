@@ -60,7 +60,6 @@ def run_table1(
     max_rounds: int = 200,
     n_seeds: int = 1,
     workers: int = 1,
-    journal=None,
 ) -> Table1Result:
     """Train Chiron at 100-node scale for each budget and evaluate.
 
@@ -74,10 +73,6 @@ def run_table1(
     the cells over a process pool and cannot change any number in the
     table (the engine's determinism contract — ``workers=1`` also
     reproduces the pre-engine sequential loop bit for bit).
-
-    ``journal`` (a path) makes the sweep crash-safe: settled cells are
-    written to a durable run journal as they drain, and rerunning with
-    the same journal resumes instead of recomputing (docs/resilience.md).
     """
     from repro.parallel import grid_items, run_sweep
 
@@ -97,9 +92,7 @@ def run_table1(
             "max_rounds": max_rounds,
         },
     )
-    sweep = run_sweep(
-        items, workers=workers, journal=journal
-    ).raise_on_quarantine()
+    sweep = run_sweep(items, workers=workers).raise_on_quarantine()
     from repro.parallel import episodes_from_dicts
 
     by_budget: Dict[float, list] = {budget: [] for budget in budgets}

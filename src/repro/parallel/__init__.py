@@ -14,14 +14,16 @@ Layout:
   ``execute`` entry point workers resolve by path.
 * :mod:`repro.parallel.pool` — parent-driven pool: crash attribution,
   bounded retry with backoff, poisoned-item quarantine, worker respawn,
-  EWMA slot health.
+  EWMA slot health; workers exit when their parent dies.
 * :mod:`repro.parallel.merge` — cross-process aggregation of registry
   snapshots and span profiles.
 * :mod:`repro.parallel.engine` — ``run_sweep`` + the standard experiment
   grid builder, with result fingerprints proving worker-count invariance.
 
-One training run is not fanned out: it trains in process, episode by
-episode (:func:`repro.experiments.runner.train_mechanism`).
+A sweep runs once and keeps no log of settled items: one that is
+killed is simply rerun.  One training run is not fanned out: it trains
+in process, episode by episode
+(:func:`repro.experiments.runner.train_mechanism`).
 """
 
 from repro.parallel.engine import SweepResult, grid_items, run_sweep

@@ -21,12 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.parallel.items import sweep_item
 from repro.parallel.merge import merge_snapshots
-from repro.parallel.pool import ItemFailure, PoolConfig, PoolReport, run_items
+from repro.parallel.pool import ItemFailure, PoolConfig, run_items
 
 __all__ = ["SweepResult", "run_sweep", "grid_items"]
 
@@ -48,13 +47,10 @@ class SweepResult:
     worker_health: Dict[int, float] = field(default_factory=dict)
     elapsed: float = 0.0
     obs_snapshot: Optional[dict] = None
-    #: True when a graceful drain stopped the sweep before every item
-    #: settled — re-run with the same journal to finish.
-    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.quarantined and not self.interrupted
+        return not self.quarantined
 
     def fingerprint(self) -> str:
         """SHA-256 over the result *data* (never timing or health).
@@ -73,28 +69,6 @@ class SweepResult:
         blob = json.dumps(canonical, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
-    def integrity(self) -> str:
-        """SHA-256 over the results *and* the failure manifest.
-
-        :meth:`fingerprint` deliberately hashes only result data, so a
-        degraded run (quarantined cells → ``None`` slots) could collide
-        with a complete run that legitimately produced ``None``.  The
-        integrity digest folds in the quarantine manifest (indices and
-        attempt counts — not error strings, which carry nondeterministic
-        pids/exit codes) and the interrupted flag, so a partial run can
-        never impersonate a clean one.
-        """
-        manifest = {
-            "fingerprint": self.fingerprint(),
-            "quarantined": [
-                {"index": f.index, "attempts": f.attempts}
-                for f in sorted(self.quarantined, key=lambda f: f.index)
-            ],
-            "interrupted": self.interrupted,
-        }
-        blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
     def raise_on_quarantine(self) -> "SweepResult":
         """Fail loudly when any grid cell was lost (experiments use this:
         a silently missing cell would skew the aggregated tables)."""
@@ -105,11 +79,6 @@ class SweepResult:
                 for f in self.quarantined
             )
             raise RuntimeError(f"sweep quarantined {details}")
-        if self.interrupted:
-            raise RuntimeError(
-                "sweep was interrupted before every item settled; re-run "
-                "with the same journal to resume"
-            )
         return self
 
 
@@ -117,49 +86,16 @@ def run_sweep(
     items: Sequence[Dict[str, Any]],
     workers: int = 1,
     pool_config: Optional[PoolConfig] = None,
-    journal: Optional[Union[str, Path, "object"]] = None,
-    guard: Optional["object"] = None,
 ) -> SweepResult:
     """Execute hermetic work items, sequentially or over a process pool.
 
     ``pool_config`` overrides every knob including ``workers``; otherwise
     ``workers`` alone selects in-process (``<=1``) vs pooled execution
-    with default retry/backoff settings.
-
-    ``journal`` (a path or an open
-    :class:`~repro.resilience.journal.RunJournal`) makes the sweep
-    *durable*: every settled item is appended to the journal before the
-    sweep proceeds, and re-running with the same journal path skips the
-    journaled items and reproduces the uninterrupted
-    :meth:`SweepResult.fingerprint` exactly.  ``guard`` (a
-    :class:`~repro.resilience.signals.ShutdownGuard`) turns SIGTERM/
-    SIGINT into a drain: in-flight items finish, the journal flushes and
-    the result returns with ``interrupted=True``.  See
-    ``docs/resilience.md``.
+    with default retry/backoff settings.  A sweep runs once; one that
+    is killed part-way is simply rerun.
     """
     config = pool_config or PoolConfig(workers=workers)
-    if journal is not None:
-        from repro.resilience.journal import RunJournal
-        from repro.resilience.sweep import journaled_sweep
-
-        items = list(items)
-        if isinstance(journal, RunJournal):
-            report = journaled_sweep(
-                items, config=config, journal=journal, guard=guard
-            )
-        else:
-            with RunJournal(journal) as open_journal:
-                report = journaled_sweep(
-                    items, config=config, journal=open_journal, guard=guard
-                )
-    elif guard is not None:
-        report = run_items(
-            list(items),
-            config=config,
-            should_stop=lambda: guard.draining,
-        )
-    else:
-        report = run_items(list(items), config=config)
+    report = run_items(list(items), config=config)
     snapshots = [
         item.get("obs_snapshot")
         for item in report.results
@@ -179,7 +115,6 @@ def run_sweep(
         worker_health=report.worker_health,
         elapsed=report.elapsed,
         obs_snapshot=merged,
-        interrupted=report.interrupted,
     )
 
 

@@ -37,6 +37,12 @@ dying worker's torn final frame poisons only its own pipe, which is
 discarded at respawn.  The parent reads the pipes non-blockingly and
 reassembles length-prefixed frames itself, so a torn tail merely waits
 in the buffer instead of blocking the scheduling loop.
+
+A worker dies with its parent: it watches the parent's sentinel from a
+daemon thread and exits the moment the process that spawned it is gone,
+however that process died (SIGKILL included).  Without the watch an idle
+worker would block on its task queue forever and a busy one would run
+its item to the end, orphaned.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import importlib
 import os
 import pickle
 import struct
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -117,9 +124,7 @@ class PoolReport:
     """Outcome of one :func:`run_items` call.
 
     ``results[i]`` is item ``i``'s return value, or ``None`` if the item
-    was quarantined (look it up in ``quarantined`` by index) — or, when
-    ``interrupted`` is True, never ran because a graceful drain
-    (``should_stop``) stopped dispatch first.
+    was quarantined (look it up in ``quarantined`` by index).
     """
 
     results: List[Any]
@@ -128,11 +133,10 @@ class PoolReport:
     respawns: int = 0
     worker_health: Dict[int, float] = field(default_factory=dict)
     elapsed: float = 0.0
-    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.quarantined and not self.interrupted
+        return not self.quarantined
 
 
 def resolve_callable(path: str) -> Callable[[Any], Any]:
@@ -154,6 +158,24 @@ def resolve_callable(path: str) -> Callable[[Any], Any]:
     return fn
 
 
+def _exit_with_parent() -> None:
+    """Start a daemon thread that ends this worker when its parent dies.
+
+    The parent's sentinel becomes ready once the parent process has
+    exited, by any means; ``os._exit`` then skips every cleanup hook,
+    since nobody is left to receive a result.
+    """
+    parent = mp.parent_process()
+    if parent is None:  # pragma: no cover - not a multiprocessing child
+        return
+
+    def watch() -> None:
+        mp_connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _worker_main(slot: int, fn_path: str, task_q, result_conn) -> None:
     """Worker loop: claim one payload at a time, execute, report.
 
@@ -167,6 +189,7 @@ def _worker_main(slot: int, fn_path: str, task_q, result_conn) -> None:
     ``result_conn`` is this worker's private pipe — see the module
     docstring for why results must not share a locked queue.
     """
+    _exit_with_parent()
     try:
         fn = resolve_callable(fn_path)
     except BaseException as exc:  # pragma: no cover - import failure path
@@ -260,12 +283,7 @@ class _Slot:
 
 
 def _run_inprocess(
-    payloads: Sequence[Any],
-    fn_path: str,
-    config: PoolConfig,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-    on_quarantine: Optional[Callable[[ItemFailure], None]] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
+    payloads: Sequence[Any], fn_path: str, config: PoolConfig
 ) -> PoolReport:
     """Sequential execution with the same retry/quarantine semantics."""
     fn = resolve_callable(fn_path)
@@ -273,11 +291,7 @@ def _run_inprocess(
     results: List[Any] = [None] * len(payloads)
     quarantined: List[ItemFailure] = []
     retries = 0
-    interrupted = False
     for index, payload in enumerate(payloads):
-        if should_stop is not None and should_stop():
-            interrupted = True
-            break
         errors: List[str] = []
         for attempt in range(config.max_retries + 1):
             try:
@@ -296,16 +310,11 @@ def _run_inprocess(
                         )
                     )
             else:
-                if on_result is not None:
-                    on_result(index, results[index])
                 break
         else:
-            failure = ItemFailure(
-                index=index, attempts=len(errors), errors=errors
+            quarantined.append(
+                ItemFailure(index=index, attempts=len(errors), errors=errors)
             )
-            quarantined.append(failure)
-            if on_quarantine is not None:
-                on_quarantine(failure)
     return PoolReport(
         results=results,
         quarantined=quarantined,
@@ -313,7 +322,6 @@ def _run_inprocess(
         respawns=0,
         worker_health={0: 1.0 if not quarantined else 0.0},
         elapsed=time.monotonic() - started,
-        interrupted=interrupted,
     )
 
 
@@ -321,9 +329,6 @@ def run_items(
     payloads: Sequence[Any],
     fn_path: str = "repro.parallel.items:execute",
     config: Optional[PoolConfig] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-    on_quarantine: Optional[Callable[[ItemFailure], None]] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> PoolReport:
     """Execute ``fn(payload)`` for every payload, surviving worker crashes.
 
@@ -331,31 +336,11 @@ def run_items(
     (``"module:attr"``).  Results come back in submission order.  Items
     that keep failing past the retry budget are quarantined, not raised —
     inspect :attr:`PoolReport.quarantined`.
-
-    ``on_result(index, value)`` / ``on_quarantine(failure)`` fire in the
-    *parent* the moment an item settles — the journaling hook of the
-    resilience layer, called before the pool moves on so a parent death
-    right after the call has already persisted the item.  ``should_stop``
-    is polled between dispatches; returning True stops new dispatch,
-    drains in-flight work and returns a report with ``interrupted=True``
-    (undispatched items stay ``None`` without quarantine records).
     """
     config = config or PoolConfig()
     if config.workers <= 1:
-        return _run_inprocess(
-            payloads,
-            fn_path,
-            config,
-            on_result=on_result,
-            on_quarantine=on_quarantine,
-            should_stop=should_stop,
-        )
-    return WorkerPool(fn_path=fn_path, config=config).run(
-        payloads,
-        on_result=on_result,
-        on_quarantine=on_quarantine,
-        should_stop=should_stop,
-    )
+        return _run_inprocess(payloads, fn_path, config)
+    return WorkerPool(fn_path=fn_path, config=config).run(payloads)
 
 
 class WorkerPool:
@@ -436,33 +421,16 @@ class WorkerPool:
 
     # -- execution -----------------------------------------------------
 
-    def run(
-        self,
-        payloads: Sequence[Any],
-        on_result: Optional[Callable[[int, Any], None]] = None,
-        on_quarantine: Optional[Callable[[ItemFailure], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> PoolReport:
+    def run(self, payloads: Sequence[Any]) -> PoolReport:
         """Execute the batch; semantics match :func:`run_items`."""
         if self._closed:
             raise RuntimeError("WorkerPool has been shut down")
         try:
-            return self._run_batch(
-                payloads,
-                on_result=on_result,
-                on_quarantine=on_quarantine,
-                should_stop=should_stop,
-            )
+            return self._run_batch(payloads)
         finally:
             self.shutdown()
 
-    def _run_batch(
-        self,
-        payloads: Sequence[Any],
-        on_result: Optional[Callable[[int, Any], None]],
-        on_quarantine: Optional[Callable[[ItemFailure], None]],
-        should_stop: Optional[Callable[[], bool]],
-    ) -> PoolReport:
+    def _run_batch(self, payloads: Sequence[Any]) -> PoolReport:
         config = self.config
         started = time.monotonic()
         n = len(payloads)
@@ -501,14 +469,13 @@ class WorkerPool:
                 deferred.append((time.monotonic() + delay, index))
             else:
                 pending.discard(index)
-                failure = ItemFailure(
-                    index=index,
-                    attempts=attempts[index],
-                    errors=list(errors[index]),
+                quarantined.append(
+                    ItemFailure(
+                        index=index,
+                        attempts=attempts[index],
+                        errors=list(errors[index]),
+                    )
                 )
-                quarantined.append(failure)
-                if on_quarantine is not None:
-                    on_quarantine(failure)
 
         def handle_message(msg: tuple) -> None:
             kind, slot_id, index, payload = msg
@@ -524,8 +491,6 @@ class WorkerPool:
                 pending.discard(index)
                 slot.record(True)
                 slot.busy_index = None
-                if on_result is not None:
-                    on_result(index, results[index])
             elif kind == "error":
                 slot.busy_index = None
                 fail_item(index, payload, slot)
@@ -559,24 +524,19 @@ class WorkerPool:
                     handle_message(msg)
             return got
 
-        stopping = False
         while pending:
             now = time.monotonic()
-            if not stopping and should_stop is not None and should_stop():
-                stopping = True
 
             # Re-arm deferred retries whose backoff has elapsed.
-            if deferred and not stopping:
+            if deferred:
                 due = [d for d in deferred if d[0] <= now]
                 if due:
                     deferred[:] = [d for d in deferred if d[0] > now]
                     ready.extend(index for _, index in due)
 
             # Dispatch: one item per idle worker, parent keeps the map.
-            # A drain (should_stop) freezes dispatch; in-flight items
-            # still complete and are collected below.
             for slot in slots:
-                if not ready or stopping:
+                if not ready:
                     break
                 if slot.idle:
                     index = ready.pop(0)
@@ -663,22 +623,15 @@ class WorkerPool:
                             "pool exhausted: all workers dead and "
                             "respawn budget spent"
                         ]
-                        failure = ItemFailure(
-                            index=index,
-                            attempts=attempts[index],
-                            errors=pending_errors,
+                        quarantined.append(
+                            ItemFailure(
+                                index=index,
+                                attempts=attempts[index],
+                                errors=pending_errors,
+                            )
                         )
-                        quarantined.append(failure)
-                        if on_quarantine is not None:
-                            on_quarantine(failure)
                     pending.clear()
                     break
-
-            # Drain complete: every dispatched item has settled and no
-            # new dispatch will happen — leave the rest for a resumed
-            # run.
-            if stopping and all(s.busy_index is None for s in slots):
-                break
 
             if not drained_any and not pending:
                 break
@@ -691,5 +644,4 @@ class WorkerPool:
             respawns=respawns,
             worker_health={s.slot_id: s.health for s in slots},
             elapsed=time.monotonic() - started,
-            interrupted=bool(pending),
         )

@@ -9,8 +9,8 @@ The five sub-systems (see ``docs/testing.md`` for the workflow):
 * :mod:`repro.testing.invariants` — the per-round paper-invariant
   auditor (zero-cost when disabled, like :mod:`repro.obs`);
 * :mod:`repro.testing.differential` — one engine replaying identical
-  seeds across {rerun, obs, audited, object population, worker process,
-  journal replay} execution paths;
+  seeds across {rerun, obs, audited, object population, worker process}
+  execution paths;
 * :mod:`repro.testing.fuzz` — seeded env/autograd fuzz corpora.
 """
 

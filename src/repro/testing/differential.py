@@ -2,9 +2,9 @@
 
 The reproduction promises that an episode computes *the same numbers* no
 matter which path executes it: a fresh rerun, observability on or off,
-the invariant auditor installed or not, either population backend, a
-worker process or a journal replay — and all of that both with and
-without the fault pipeline.  Each claim used to live in its own
+the invariant auditor installed or not, either population backend or a
+worker process — and all of that both with and without the fault
+pipeline.  Each claim used to live in its own
 hand-rolled test; this module replays one :class:`~repro.testing.scenarios.Scenario`
 through an N-way variant matrix and reports the first diverging
 replica/round/field per variant.
@@ -23,10 +23,6 @@ Variants (each compared bit-exactly against its reference):
                     processes via :mod:`repro.parallel` — every worker's
                     trace must be bit-identical to the in-process one
                     (process boundaries change nothing)
-``journal_replay``  the capture run once through a journaled sweep
-                    (:mod:`repro.resilience`), then *replayed* from the
-                    journal without executing — the round-tripped trace
-                    must be bit-identical (crash/resume changes nothing)
 ==================  ====================================================
 
 Every variant applies to both kinds of scenario: schedule-driven ones
@@ -64,7 +60,6 @@ VARIANTS = (
     "audited",
     "population_object",
     "parallel_w4",
-    "journal_replay",
 )
 
 
@@ -188,35 +183,6 @@ def _capture_parallel(
     ]
 
 
-def _capture_journal_replay(scenario: Scenario) -> EpisodeTrace:
-    """The scenario journaled in-process, then replayed from the journal.
-
-    The first ``run_sweep`` executes the capture and journals the settled
-    result; the second runs over the *same* journal and must execute
-    nothing — its trace comes purely from the JSON round-trip through the
-    write-ahead log, which is exactly what a crash/resume would read.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.parallel.engine import run_sweep
-    from repro.parallel.items import capture_item
-
-    get_scenario(scenario.name)  # fail fast on unregistered scenarios
-    journal = Path(tempfile.mkdtemp(prefix="diff-journal-")) / "j.jsonl"
-    items = [capture_item(scenario.name)]
-    live = run_sweep(items, workers=1, journal=journal).raise_on_quarantine()
-    replayed = run_sweep(
-        items, workers=1, journal=journal
-    ).raise_on_quarantine()
-    if replayed.fingerprint() != live.fingerprint():
-        raise RuntimeError(
-            f"journal replay of {scenario.name!r} changed the sweep "
-            f"fingerprint"
-        )
-    return EpisodeTrace.from_payload(replayed.items[0]["trace"])
-
-
 def run_variant(
     scenario: Scenario,
     variant: str,
@@ -225,9 +191,8 @@ def run_variant(
     """Run one variant and diff it against its reference trace.
 
     ``reference`` (the plain sequential capture) is computed on demand
-    when not supplied; ``parallel_w4`` and ``journal_replay`` compare
-    against the in-process :func:`~repro.testing.scenarios.capture` of the
-    scenario instead.
+    when not supplied; ``parallel_w4`` compares against the in-process
+    :func:`~repro.testing.scenarios.capture` of the scenario instead.
     """
     if variant == "parallel_w4":
         expected = capture(scenario)
@@ -243,15 +208,6 @@ def run_variant(
             variant=variant,
             rounds=rounds,
             divergence=divergence,
-        )
-    if variant == "journal_replay":
-        expected = capture(scenario)
-        actual = _capture_journal_replay(scenario)
-        return DifferentialOutcome(
-            scenario=scenario.name,
-            variant=variant,
-            rounds=actual.num_rounds,
-            divergence=first_divergence(expected, actual),
         )
     expected = reference if reference is not None else _sequential_trace(scenario)
     if variant == "rerun":

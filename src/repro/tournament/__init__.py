@@ -2,13 +2,13 @@
 
 A declarative grid (:class:`~repro.tournament.grid.TournamentGrid`) of
 mechanisms × populations × budgets × fault profiles × seeds is lowered to
-hermetic :mod:`repro.parallel` sweep items, executed with journal/resume
-support, and aggregated into a ranked
+hermetic :mod:`repro.parallel` sweep items, executed over the sweep
+pool, and aggregated into a ranked
 :class:`~repro.tournament.leaderboard.Leaderboard` (JSON + markdown).
 
 Entry points::
 
-    chiron-repro run tournament --workers 4 --journal runs/t.jsonl
+    chiron-repro run tournament --workers 4
     chiron-repro run tournament --scale paper --out results/
     make tournament
 

@@ -2,21 +2,19 @@
 
 :func:`run_tournament` lowers a :class:`~repro.tournament.grid.TournamentGrid`
 to hermetic sweep items, executes them via
-:func:`repro.parallel.run_sweep` (journal/resume-capable through
-:mod:`repro.resilience`, drainable via a ``ShutdownGuard``), and
-aggregates the settled cells into a ranked
-:class:`~repro.tournament.leaderboard.Leaderboard`.
+:func:`repro.parallel.run_sweep`, and aggregates the settled cells into
+a ranked :class:`~repro.tournament.leaderboard.Leaderboard`.
 
 The tournament's determinism contract is inherited from the engine: the
 :meth:`TournamentResult.fingerprint` is a pure function of the grid, so
-it is bit-identical for any worker count and across journal resumes
-(``tests/tournament/test_runner.py`` asserts both).
+it is bit-identical for any worker count
+(``tests/tournament/test_runner.py`` asserts it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -73,14 +71,10 @@ class TournamentResult:
         """Worker-count-invariant digest of every cell's result data."""
         return self.sweep.fingerprint()
 
-    def integrity(self) -> str:
-        return self.sweep.integrity()
-
     def to_payload(self) -> Dict[str, Any]:
         return {
             "grid": self.grid.to_dict(),
             "fingerprint": self.fingerprint(),
-            "integrity": self.integrity(),
             "workers": self.sweep.workers,
             "elapsed_seconds": self.sweep.elapsed,
             "cells": len(self.sweep.items),
@@ -88,25 +82,11 @@ class TournamentResult:
         }
 
 
-def run_tournament(
-    grid: TournamentGrid,
-    workers: int = 1,
-    journal=None,
-    guard=None,
-) -> TournamentResult:
-    """Cross-evaluate every grid mechanism; returns the ranked result.
-
-    ``journal`` (a path or an open
-    :class:`~repro.resilience.journal.RunJournal`) makes the run
-    crash-safe: re-running with the same journal skips settled cells and
-    reproduces the uninterrupted fingerprint exactly.  ``guard`` turns
-    SIGTERM/SIGINT into a graceful drain.
-    """
+def run_tournament(grid: TournamentGrid, workers: int = 1) -> TournamentResult:
+    """Cross-evaluate every grid mechanism; returns the ranked result."""
     items = grid.items()
     with _obs.span("tournament.run"):
-        sweep = run_sweep(
-            items, workers=workers, journal=journal, guard=guard
-        ).raise_on_quarantine()
+        sweep = run_sweep(items, workers=workers).raise_on_quarantine()
     cells: List[Dict[str, Any]] = [
         {"key": item["key"], "eval_episodes": item["eval_episodes"]}
         for item in sweep.items

@@ -138,57 +138,3 @@ class TestOverdrawAtomicity:
         assert not ledger.charge(6.0)
         assert ledger.spent == spent_before
         assert ledger.remaining == 8.0 - 3.0
-
-
-class TestSettleIdempotence:
-    """Journal-replay safety: the same failed delivery settles only once."""
-
-    def test_replayed_settle_does_not_double_refund(self):
-        ledger = BudgetLedger(100.0)
-        ledger.escrow(30.0)
-        clawback = ledger.settle(10.0, delivery_id="round-3")
-        assert clawback == pytest.approx(20.0)
-        assert ledger.spent == pytest.approx(10.0)
-        # Crash-recovery replays the identical settle record: it must be
-        # a no-op, not a second 20.0 refund.
-        replay = ledger.settle(10.0, delivery_id="round-3")
-        assert replay == 0.0
-        assert ledger.spent == pytest.approx(10.0)
-        assert ledger.clawback_total == pytest.approx(20.0)
-
-    def test_replay_skips_even_with_new_escrow_pending(self):
-        ledger = BudgetLedger(100.0)
-        ledger.escrow(30.0)
-        ledger.settle(10.0, delivery_id="round-1")
-        ledger.escrow(40.0)
-        # Replay of the old record while a *new* escrow is pending must
-        # not consume or corrupt the pending escrow.
-        assert ledger.settle(10.0, delivery_id="round-1") == 0.0
-        assert ledger.pending_escrow == pytest.approx(40.0)
-        clawback = ledger.settle(40.0, delivery_id="round-2")
-        assert clawback == 0.0
-        assert ledger.spent == pytest.approx(50.0)
-
-    def test_distinct_delivery_ids_settle_independently(self):
-        ledger = BudgetLedger(100.0)
-        ledger.escrow(20.0)
-        assert ledger.settle(0.0, delivery_id="a") == pytest.approx(20.0)
-        ledger.escrow(20.0)
-        assert ledger.settle(0.0, delivery_id="b") == pytest.approx(20.0)
-        assert ledger.clawback_total == pytest.approx(40.0)
-
-    def test_without_delivery_id_behaviour_is_unchanged(self):
-        ledger = BudgetLedger(100.0)
-        ledger.escrow(30.0)
-        ledger.settle(10.0)
-        with pytest.raises(EscrowError):
-            ledger.settle(10.0)  # no pending escrow, no id to dedupe on
-
-    def test_reset_forgets_settled_ids(self):
-        ledger = BudgetLedger(100.0)
-        ledger.escrow(30.0)
-        ledger.settle(10.0, delivery_id="round-1")
-        ledger.reset()
-        ledger.escrow(30.0)
-        # Same id in a new episode is a fresh settle, not a replay.
-        assert ledger.settle(10.0, delivery_id="round-1") == pytest.approx(20.0)

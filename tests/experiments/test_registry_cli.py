@@ -103,7 +103,7 @@ class TestCLI:
         # Patch in a featherweight experiment so the CLI test is instant.
         from repro.experiments import registry
 
-        def tiny_runner(scale, seed, workers=1, journal=None):
+        def tiny_runner(scale, seed, workers=1):
             return {"scale": scale, "seed": seed}, "rendered-output"
 
         monkeypatch.setitem(
@@ -122,47 +122,7 @@ class TestCLI:
         with pytest.raises(KeyError):
             main(["run", "fig99"])
 
-    def test_journal_flag_reaches_runner(self, tmp_path, monkeypatch):
-        from repro.experiments import registry
-
-        seen = {}
-
-        def tiny_runner(scale, seed, workers=1, journal=None):
-            seen["journal"] = journal
-            return {}, "ok"
-
-        monkeypatch.setitem(
-            registry.EXPERIMENTS,
-            "fig3",
-            registry.ExperimentSpec("fig3", "tiny", tiny_runner),
-        )
-        journal = str(tmp_path / "sweep.jsonl")
-        assert main(["run", "fig3", "--journal", journal]) == 0
-        assert seen["journal"] == journal
-
-    def test_journal_flag_suffixed_per_experiment_for_all(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.experiments import registry
-
-        seen = {}
-
-        def runner_for(exp_id):
-            def runner(scale, seed, workers=1, journal=None):
-                seen[exp_id] = journal
-                return {}, "ok"
-
-            return runner
-
-        tiny = {
-            exp_id: registry.ExperimentSpec(exp_id, "tiny", runner_for(exp_id))
-            for exp_id in ("fig3", "table1")
-        }
-        monkeypatch.setattr(registry, "EXPERIMENTS", tiny)
-        monkeypatch.setattr("repro.experiments.cli.EXPERIMENTS", tiny)
-        journal = str(tmp_path / "sweep.jsonl")
-        assert main(["run", "all", "--journal", journal]) == 0
-        assert seen == {
-            "fig3": f"{journal}.fig3",
-            "table1": f"{journal}.table1",
-        }
+    def test_journal_flag_rejected(self):
+        # A sweep runs once; the CLI has no run journal to resume from.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig4", "--journal", "x"])

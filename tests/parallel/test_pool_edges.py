@@ -1,15 +1,56 @@
-"""Pool edge paths: respawn exhaustion, post-quarantine ordering, callbacks."""
+"""Pool edge paths: respawn exhaustion, post-quarantine ordering, orphans."""
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from multiprocessing import process as mp_process
+from pathlib import Path
 
 import pytest
 
-from repro.parallel.pool import ItemFailure, PoolConfig, run_items
-from repro.resilience.journal import RunJournal, read_journal
+import repro
+from repro.parallel.pool import PoolConfig, run_items
 
 pytestmark = [pytest.mark.parallel, pytest.mark.resilience]
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: A pool's parent: one worker hangs on its item, the other runs an item
+#: that leaves a mark at ``argv[1]`` and then waits idle for more work.
+PARENT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.parallel.pool import PoolConfig, run_items
+
+    run_items(
+        [
+            {"kind": "hang", "seconds": 3600.0},
+            {"kind": "flaky", "path": sys.argv[1], "fail_times": 0},
+        ],
+        config=PoolConfig(workers=2, max_retries=0),
+    )
+    """
+)
+
+
+def _group_survivors(pgid: int) -> int:
+    """Live (non-zombie) processes in process group ``pgid``, from /proc."""
+    count = 0
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid pgrp ..."; comm may hold spaces.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] not in ("Z", "X"):
+            count += 1
+    return count
 
 
 class TestRespawnExhaustion:
@@ -94,36 +135,6 @@ class TestQuarantineThenRequeue:
         assert report.quarantined[0].attempts == 3
 
 
-class TestCallbacks:
-    def test_on_result_and_on_quarantine_fire_per_settled_item(self):
-        seen_ok, seen_bad = [], []
-        items = [
-            {"kind": "echo", "value": 0},
-            {"kind": "fail", "message": "nope"},
-            {"kind": "echo", "value": 2},
-        ]
-        report = run_items(
-            items,
-            config=PoolConfig(workers=1, max_retries=0),
-            on_result=lambda i, v: seen_ok.append((i, v["value"])),
-            on_quarantine=lambda f: seen_bad.append(f.index),
-        )
-        assert seen_ok == [(0, 0), (2, 2)]
-        assert seen_bad == [1]
-        assert [f.index for f in report.quarantined] == [1]
-
-    def test_should_stop_freezes_dispatch_and_reports_interrupted(self):
-        report = run_items(
-            [{"kind": "echo", "value": i} for i in range(4)],
-            config=PoolConfig(workers=1),
-            should_stop=lambda: True,
-        )
-        assert report.interrupted
-        assert not report.ok
-        assert report.results == [None] * 4
-        assert report.quarantined == []
-
-
 class TestSpawnFailure:
     def test_spawn_error_is_not_masked_by_shutdown(self, monkeypatch):
         # shutdown() joins every slot's process; a process whose start()
@@ -178,29 +189,43 @@ class TestTimeoutExcludesColdStart:
             PoolConfig(startup_grace=-1.0)
 
 
-class TestItemFailureJournalRoundTrip:
-    def test_failure_survives_journal_round_trip(self, tmp_path):
-        failure = ItemFailure(
-            index=11,
-            attempts=3,
-            errors=["worker 0 died (exitcode=9) while running item 11"] * 3,
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(),
+    reason="counts the parent's process group from /proc",
+)
+class TestWorkersDieWithParent:
+    def test_sigkilled_parent_leaves_no_process_behind(self, tmp_path):
+        marker = tmp_path / "claimed.marks"
+        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        # Its own session: the parent's workers and resource tracker join
+        # its process group, which the test counts and finally kills.
+        parent = subprocess.Popen(
+            [sys.executable, "-c", PARENT, str(marker)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        path = tmp_path / "j.jsonl"
-        with RunJournal(path) as journal:
-            journal.append(
-                "item_quarantined",
-                {
-                    "failure": {
-                        "index": failure.index,
-                        "attempts": failure.attempts,
-                        "errors": list(failure.errors),
-                    }
-                },
-            )
-        record = read_journal(path).records[0]
-        back = ItemFailure(
-            index=int(record.data["failure"]["index"]),
-            attempts=int(record.data["failure"]["attempts"]),
-            errors=list(record.data["failure"]["errors"]),
-        )
-        assert back == failure
+        try:
+            deadline = time.monotonic() + 120.0
+            while not marker.exists():
+                assert parent.poll() is None, "parent exited on its own"
+                assert time.monotonic() < deadline, "no item ran in 120 s"
+                time.sleep(0.05)
+            # The parent and both workers are up before the kill.
+            assert _group_survivors(parent.pid) >= 3
+            os.kill(parent.pid, signal.SIGKILL)  # the parent alone
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while _group_survivors(parent.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _group_survivors(parent.pid) == 0
+        finally:
+            # A reaped leader of an empty group may have freed its pid.
+            if parent.poll() is None or _group_survivors(parent.pid):
+                try:
+                    os.killpg(parent.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the group exited meanwhile
+            parent.wait(timeout=30)

@@ -1,4 +1,4 @@
-"""Chaos harness: deterministic mixtures, accounting audit, kill/resume."""
+"""Chaos harness: deterministic mixtures and the accounting audit."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ from repro.resilience.chaos import (
     EXPECTED_OUTCOME,
     ChaosConfig,
     chaos_items,
-    kill_resume_grid,
     run_chaos,
-    run_kill_resume,
 )
 
 pytestmark = pytest.mark.resilience
@@ -51,11 +49,7 @@ class TestChaosItems:
 
 class TestRunChaos:
     def test_accounting_invariant_holds(self, tmp_path):
-        report = run_chaos(
-            SMALL,
-            journal_path=str(tmp_path / "chaos.jsonl"),
-            scratch_dir=str(tmp_path / "scratch"),
-        )
+        report = run_chaos(SMALL, scratch_dir=str(tmp_path / "scratch"))
         assert report.ok, report.render()
         assert report.n_items == SMALL.n_items
         assert report.delivered == SMALL.n_echo + SMALL.n_flaky
@@ -63,7 +57,6 @@ class TestRunChaos:
             SMALL.n_fail + SMALL.n_crash + SMALL.n_hang + SMALL.n_unpicklable
         )
         assert not report.unaccounted
-        assert report.replay_matches
 
     def test_temporary_scratch_is_removed(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -78,29 +71,3 @@ class TestRunChaos:
     def test_in_process_execution_refused(self):
         with pytest.raises(ValueError, match="workers >= 2"):
             run_chaos(ChaosConfig(workers=1))
-
-
-class TestKillResume:
-    def test_grid_is_deterministic(self):
-        assert kill_resume_grid(0) == kill_resume_grid(0)
-        assert kill_resume_grid(0) != kill_resume_grid(1)
-
-    def test_sigkilled_sweep_resumes_to_golden_fingerprint(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        report = run_kill_resume(
-            workers=2,
-            seed=0,
-            journal_path=str(tmp_path / "sweep.jsonl"),
-            kill_after_items=1,
-        )
-        assert report["ok"], report
-        assert (
-            report["resumed_fingerprint"] == report["golden_fingerprint"]
-        )
-        # The SIGKILL takes the driver's spawn workers and resource
-        # tracker with it: nothing is left orphaned.
-        assert report["survivors"] == 0
-        # Given a journal path, the drill makes no directory of its own.
-        assert not list(tmp_path.glob("kill-resume-*"))

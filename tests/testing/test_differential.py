@@ -3,10 +3,12 @@
 One parametrized test proves the headline reproducibility claim: the same
 seeded episode is bit-identical whether it is rerun, runs with
 observability instrumentation enabled, under the invariant auditor, on
-the object-node population backend, in worker processes or replayed from
-a journal.  This replaces the ad-hoc pairwise comparisons that used to
-live in tests/obs/test_bit_identity.py.
+the object-node population backend or in worker processes.  This
+replaces the ad-hoc pairwise comparisons that used to live in
+tests/obs/test_bit_identity.py.
 """
+
+import tempfile
 
 import pytest
 
@@ -17,10 +19,13 @@ from repro.testing.scenarios import get_scenario
 
 @pytest.mark.parametrize("scenario", ["baseline", "faulted"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_variant_bit_identical(scenario, variant):
+def test_variant_bit_identical(scenario, variant, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     outcome = run_variant(get_scenario(scenario), variant)
     assert outcome.identical, outcome.describe()
     assert outcome.rounds > 0
+    # No variant may leave anything in the temp dir behind.
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_matrix_covers_all_variants():

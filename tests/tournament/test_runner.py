@@ -1,4 +1,4 @@
-"""End-to-end tournament: fingerprint invariance, journal resume, CLI glue."""
+"""End-to-end tournament: fingerprint invariance, payload, CLI glue."""
 
 from __future__ import annotations
 
@@ -27,25 +27,6 @@ class TestRunTournament:
         for workers in (2, 4):
             result = run_tournament(smoke_grid(seed=0), workers=workers)
             assert result.fingerprint() == reference
-
-    def test_journal_resume_reproduces_fingerprint(self, smoke_result, tmp_path):
-        journal = tmp_path / "tournament.jsonl"
-        live = run_tournament(smoke_grid(seed=0), workers=1, journal=journal)
-        assert live.fingerprint() == smoke_result.fingerprint()
-        # Second run over the same journal replays the settled items
-        # instead of re-executing them and must reproduce the
-        # uninterrupted fingerprint bit for bit.
-        from repro.resilience.journal import read_journal
-        from repro.resilience.sweep import KIND_ITEM_OK
-
-        settled = len(read_journal(journal).of_kind(KIND_ITEM_OK))
-        assert settled == len(live.sweep.items)
-        replayed = run_tournament(
-            smoke_grid(seed=0), workers=1, journal=journal
-        )
-        assert replayed.fingerprint() == smoke_result.fingerprint()
-        # No item was re-executed: the settled-item log did not grow.
-        assert len(read_journal(journal).of_kind(KIND_ITEM_OK)) == settled
 
     def test_leaderboard_covers_grid_mechanisms(self, smoke_result):
         names = {row.mechanism for row in smoke_result.leaderboard.rows}
